@@ -236,7 +236,7 @@ func main() {
 	}
 	if want("concurrency") {
 		ran = true
-		run("Concurrency: epoch vs rwmutex read scaling over arenas × workers", func() {
+		run("Concurrency: read/write scaling over arenas × workers", func() {
 			res := bench.RunConcurrency(cfg)
 			bench.WriteConcurrency(out, res)
 			emit(res.ID, res)
@@ -276,7 +276,7 @@ func main() {
 	}
 	if want("server") {
 		ran = true
-		run("Server: pipelined byte-level engine vs flush-per-line loop", func() {
+		run("Server: pipelined byte-level engine", func() {
 			res := bench.RunServer(cfg)
 			bench.WriteServer(out, res)
 			emit(res.ID, res)

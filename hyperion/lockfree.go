@@ -9,30 +9,33 @@ package hyperion
 //     they pin the epoch domain (so frees they retire are tagged with a
 //     still-open epoch), flip the tree's seqlock odd, mutate, drain any
 //     safely-retired memory, flip the seqlock even, unpin, and nudge the
-//     global epoch forward.
+//     global epoch forward. The bracket is all atomics under the write lock,
+//     so it runs on every build, race detector included.
 //
 //   - Readers run walks optimistically and validate the tree's seqlock
 //     afterwards. A reader that raced a mutation discards the result,
 //     retries a few times, and finally falls back to the classic shard read
 //     lock — which cannot starve, because writers hold the write half of the
-//     same mutex. Long-window readers (cursor scans, batched shard groups)
-//     additionally pin the epoch domain, which guarantees that no memory
-//     they could have observed is recycled until they unpin; single-op point
-//     reads skip the slot claim entirely (see the comment above shardGet)
-//     and lean on the same epoch machinery indirectly — the write-side grace
-//     period is what keeps a concurrently-retired chunk's bytes intact long
-//     enough that validation, not memory safety, is the only concern.
+//     same mutex. That protocol is written once, in shardRead; every reader
+//     is a restartable body passed to it. Long-window readers (cursor scans,
+//     batched shard groups) additionally pin the epoch domain, which
+//     guarantees that no memory they could have observed is recycled until
+//     they unpin; short reads take no pin at all (see the comment above
+//     shardGet) and lean on the same epoch machinery indirectly — the
+//     write-side grace period is what keeps a concurrently-retired chunk's
+//     bytes intact long enough that validation, not memory safety, is the
+//     only concern.
 //
 // The point-read fast path therefore performs zero mutex acquisitions and
 // zero atomic read-modify-writes: two sequence loads around the walk. The
 // scan/batch fast path adds one slot CAS to pin and one store to unpin per
 // chunk or shard group.
 //
-// Race-enabled builds compile the optimistic path out (lockFreeBuild in
+// Race-enabled builds compile the optimistic half out (lockFreeBuild in
 // lockfree_race.go): the race detector cannot model a seqlock — readers
 // intentionally overlap writers and discard torn results — so under -race
-// every read takes the shard RWMutex and the suite validates the locked
-// paths instead.
+// every read takes the shard RWMutex through the same shardRead and the
+// suite validates the locked half instead.
 
 import (
 	"repro/internal/core"
@@ -53,29 +56,14 @@ const readTries = 3
 const optimisticMaxFrames = 4096
 
 // ReadLockMode reports how point reads and scans synchronise with writers:
-// "epoch" (lock-free seqlock-validated reads) or "rwmutex" (the
-// classic shard read lock; race builds and DisableLockFreeReads). Benchmark
-// rows record it so scaling curves are attributable.
+// "epoch" (lock-free seqlock-validated reads) or "rwmutex" (the shard read
+// lock; race-detector builds). Benchmark rows record it so scaling curves
+// are attributable.
 func (s *Store) ReadLockMode() string {
-	if s.lockFreeReads {
+	if lockFreeBuild {
 		return "epoch"
 	}
 	return "rwmutex"
-}
-
-// SetLockFreeReads switches the read path between the epoch-based lock-free
-// protocol and the shard RWMutex at runtime. Enabling has no effect on a
-// store built with DisableLockFreeReads or on a race-detector build (the
-// lock-free machinery is absent there). Disabling only reroutes readers:
-// write-side publication and deferred reclamation stay active, so retired
-// memory keeps draining and the store can be flipped back at any time.
-//
-// It must not be called concurrently with any operation on the store. Its
-// main consumer is the concurrency benchmark, which measures both protocols
-// against the same store instance so allocation-layout luck cancels out of
-// the comparison.
-func (s *Store) SetLockFreeReads(enable bool) {
-	s.lockFreeReads = enable && s.lockFree
 }
 
 // lockShardWrite acquires sh's write lock and opens the publication bracket.
@@ -85,9 +73,6 @@ func (s *Store) SetLockFreeReads(enable bool) {
 //hyperion:bracket shardwrite-begin
 func (s *Store) lockShardWrite(sh *shard) epoch.Guard {
 	sh.mu.Lock()
-	if !s.lockFree {
-		return epoch.Guard{}
-	}
 	g := s.epochs.Pin()
 	sh.tree.Allocator().SetRetireEpoch(g.Epoch())
 	sh.tree.BeginWrite()
@@ -103,21 +88,71 @@ func (s *Store) lockShardWrite(sh *shard) epoch.Guard {
 //
 //hyperion:bracket shardwrite-end
 func (s *Store) unlockShardWrite(sh *shard, g epoch.Guard) {
-	if s.lockFree {
-		a := sh.tree.Allocator()
-		if a.RetiredCount() > 0 {
-			a.DrainRetired(s.epochs.SafeEpoch())
-		}
-		sh.tree.EndWrite()
-		g.Unpin()
-		if a.RetiredCount() > 0 {
-			s.epochs.TryAdvance()
-		}
+	a := sh.tree.Allocator()
+	if a.RetiredCount() > 0 {
+		a.DrainRetired(s.epochs.SafeEpoch())
+	}
+	sh.tree.EndWrite()
+	g.Unpin()
+	if a.RetiredCount() > 0 {
+		s.epochs.TryAdvance()
 	}
 	sh.mu.Unlock()
 }
 
-// Point reads (shardGet/shardHas/shardLen/shardStats and friends) run
+// shardRead is the reader protocol, written once. body reads sh's tree and
+// must be restartable: it runs up to readTries times with optimistic set —
+// no lock held, against a tree a writer may be mutating — and such a run is
+// discarded (the next run overwrites its outputs) when the seqlock moved or
+// the torn walk panicked. If none validates, body runs once more with
+// optimistic clear under the shard read lock, and that result stands. pin
+// holds the epoch domain across the optimistic runs, for bodies that keep
+// decoded positions or fill caller-visible buffers over a long window.
+//
+// One recover barrier covers the whole optimistic loop, so a panicking run
+// goes straight to the lock. The locked run has no barrier: a panic under
+// the lock is a real bug and propagates, with the lock released. body does
+// not escape, so a closure passed here is not heap-allocated.
+func (s *Store) shardRead(sh *shard, pin bool, body func(optimistic bool)) {
+	if lockFreeBuild {
+		accepted := func() (valid bool) {
+			var g epoch.Guard
+			if pin {
+				g = s.epochs.Pin()
+			}
+			walking := false
+			defer func() {
+				g.Unpin()
+				// Only a panic out of body is a torn read; recover() is not
+				// even consulted otherwise.
+				if walking && recover() != nil {
+					valid = false
+				}
+			}()
+			for t := 0; t < readTries; t++ {
+				s0, stable := sh.tree.ReadSeq()
+				if !stable {
+					continue
+				}
+				walking = true
+				body(true)
+				walking = false
+				if sh.tree.SeqValid(s0) {
+					return true
+				}
+			}
+			return false
+		}()
+		if accepted {
+			return
+		}
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	body(false)
+}
+
+// Point reads (shardGet/shardHas, and the pin=false bodies below) run
 // optimistically WITHOUT claiming a reader slot. They stay safe without the
 // pin because their exposure window is a single bounded walk:
 //
@@ -138,16 +173,15 @@ func (s *Store) unlockShardWrite(sh *shard, g epoch.Guard) {
 // one slot CAS amortised over a chunk or a shard group is free.
 
 // shardGet is Store.Get's per-shard read: optimistic first, locked fallback.
-// The seqlock protocol is open-coded here instead of calling
-// core.GetOptimistic: the recover barrier's defer keeps that wrapper from
-// inlining, and on a sub-microsecond walk the extra call frame is a
-// measurable slice of the protocol win. The one armed defer doubles as the
-// panic fallback — a torn walk that panics is recovered and redone under the
-// read lock, so the function still returns a correct result.
+// It and shardHas are the two readers that do not go through shardRead: the
+// protocol is open-coded because a closure call plus a second frame is a
+// measurable slice of a sub-microsecond walk. The one armed defer doubles as
+// the panic fallback — a torn walk that panics is recovered and redone under
+// the read lock, so the function still returns a correct result.
 //
 //hyperion:noalloc
 func (s *Store) shardGet(sh *shard, k []byte) (value uint64, ok bool) {
-	if s.lockFreeReads {
+	if lockFreeBuild {
 		walking := false
 		defer func() {
 			if walking && recover() != nil {
@@ -180,7 +214,7 @@ func (s *Store) shardGet(sh *shard, k []byte) (value uint64, ok bool) {
 //
 //hyperion:noalloc
 func (s *Store) shardHas(sh *shard, k []byte) (ok bool) {
-	if s.lockFreeReads {
+	if lockFreeBuild {
 		walking := false
 		defer func() {
 			if walking && recover() != nil {
@@ -209,32 +243,14 @@ func (s *Store) shardHas(sh *shard, k []byte) (ok bool) {
 }
 
 // shardLen reads one shard's key count.
-func (s *Store) shardLen(sh *shard) int64 {
-	if s.lockFreeReads {
-		for t := 0; t < readTries; t++ {
-			if n, valid := sh.tree.LenOptimistic(); valid {
-				return n
-			}
-		}
-	}
-	sh.mu.RLock()
-	n := sh.tree.Len()
-	sh.mu.RUnlock()
+func (s *Store) shardLen(sh *shard) (n int64) {
+	s.shardRead(sh, false, func(bool) { n = sh.tree.Len() })
 	return n
 }
 
 // shardStats reads one shard's structural counters.
-func (s *Store) shardStats(sh *shard) core.Stats {
-	if s.lockFreeReads {
-		for t := 0; t < readTries; t++ {
-			if st, valid := sh.tree.StatsOptimistic(); valid {
-				return st
-			}
-		}
-	}
-	sh.mu.RLock()
-	st := sh.tree.Stats()
-	sh.mu.RUnlock()
+func (s *Store) shardStats(sh *shard) (st core.Stats) {
+	s.shardRead(sh, false, func(bool) { st = sh.tree.Stats() })
 	return st
 }
 
@@ -242,176 +258,51 @@ func (s *Store) shardStats(sh *shard) core.Stats {
 // only loads published tables, but its counters are plain fields mutated
 // inside write brackets (including the deferred-free drain), so the seqlock
 // check makes the snapshot consistent.
-func (s *Store) shardMemStats(sh *shard) memman.Stats {
-	if s.lockFreeReads {
-		for t := 0; t < readTries; t++ {
-			if st, valid := s.memStatsOptimistic(sh); valid {
-				return st
-			}
-		}
-	}
-	sh.mu.RLock()
-	st := sh.tree.Allocator().Stats()
-	sh.mu.RUnlock()
+func (s *Store) shardMemStats(sh *shard) (st memman.Stats) {
+	s.shardRead(sh, false, func(bool) { st = sh.tree.Allocator().Stats() })
 	return st
 }
 
-func (s *Store) memStatsOptimistic(sh *shard) (st memman.Stats, valid bool) {
-	defer func() {
-		if recover() != nil {
-			valid = false
-		}
-	}()
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return st, false
-	}
-	st = sh.tree.Allocator().Stats()
-	if !sh.tree.SeqValid(s0) {
-		return memman.Stats{}, false
-	}
-	return st, true
-}
-
 // shardFootprint reads one shard's allocator footprint.
-func (s *Store) shardFootprint(sh *shard) int64 {
-	if s.lockFreeReads {
-		for t := 0; t < readTries; t++ {
-			if n, valid := s.footprintOptimistic(sh); valid {
-				return n
-			}
-		}
-	}
-	sh.mu.RLock()
-	n := sh.tree.MemoryFootprint()
-	sh.mu.RUnlock()
+func (s *Store) shardFootprint(sh *shard) (n int64) {
+	s.shardRead(sh, false, func(bool) { n = sh.tree.MemoryFootprint() })
 	return n
 }
 
-func (s *Store) footprintOptimistic(sh *shard) (n int64, valid bool) {
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return 0, false
-	}
-	n = sh.tree.MemoryFootprint()
-	if !sh.tree.SeqValid(s0) {
-		return 0, false
-	}
-	return n, true
-}
-
 // readGetGroup fills results for a GetBatch shard group (opIdx nil = all of
-// lookups): optimistic attempts first, shard read lock as fallback.
+// lookups) under one seqlock snapshot: one sequence check per group instead
+// of per key. A torn attempt leaves partial garbage in results, which the
+// retry or the locked run overwrites. The body is defer-free on purpose: a
+// defer in scope pessimises codegen for a loop that runs once per batched
+// key.
 func (s *Store) readGetGroup(sh *shard, lookups [][]byte, opIdx []int32, results []Result) {
-	if s.lockFreeReads {
-		ps := s.epochs.TryPinRead()
-		if ps == nil {
-			ps = s.epochs.PinReadSlow()
-		}
-		if ps != nil {
-			for t := 0; t < readTries; t++ {
-				if s.optimisticGetGroup(sh, lookups, opIdx, results) {
-					ps.Release()
-					return
-				}
+	s.shardRead(sh, true, func(bool) {
+		var scratch [opScratchSize]byte
+		if opIdx == nil {
+			for i := range lookups {
+				results[i].Value, results[i].Ok = sh.tree.Get(s.transformAppend(scratch[:0], lookups[i]))
 			}
-			ps.Release()
+		} else {
+			for _, i := range opIdx {
+				results[i].Value, results[i].Ok = sh.tree.Get(s.transformAppend(scratch[:0], lookups[i]))
+			}
 		}
-	}
-	sh.mu.RLock()
-	s.getGroupWalk(sh, lookups, opIdx, results)
-	sh.mu.RUnlock()
-}
-
-// getGroupWalk runs a group of lookups against sh's tree. It is shared by
-// the locked and optimistic group paths and deliberately contains no defer:
-// a defer in scope pessimises codegen for the whole function, which matters
-// for a loop that runs once per batched key.
-func (s *Store) getGroupWalk(sh *shard, lookups [][]byte, opIdx []int32, results []Result) {
-	var scratch [opScratchSize]byte
-	if opIdx == nil {
-		for i := range lookups {
-			results[i].Value, results[i].Ok = sh.tree.Get(s.transformAppend(scratch[:0], lookups[i]))
-		}
-	} else {
-		for _, i := range opIdx {
-			results[i].Value, results[i].Ok = sh.tree.Get(s.transformAppend(scratch[:0], lookups[i]))
-		}
-	}
-}
-
-// optimisticGetGroup runs a whole group of lookups under one seqlock
-// snapshot: one sequence check per group instead of per key. A torn walk
-// (panic or sequence change) invalidates the whole group; the results slice
-// may then hold partial garbage, which the caller overwrites on retry or
-// fallback.
-func (s *Store) optimisticGetGroup(sh *shard, lookups [][]byte, opIdx []int32, results []Result) (valid bool) {
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return false
-	}
-	walking := true
-	defer func() {
-		if walking && recover() != nil {
-			valid = false
-		}
-	}()
-	s.getGroupWalk(sh, lookups, opIdx, results)
-	walking = false
-	return sh.tree.SeqValid(s0)
+	})
 }
 
 // readApplyGroup executes a read-only ApplyBatch shard group (OpGet/OpHas
-// only; opIdx nil = the whole batch): optimistic first, locked fallback.
+// only; opIdx nil = the whole batch); same contract as readGetGroup.
 func (s *Store) readApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Result) {
-	if s.lockFreeReads {
-		ps := s.epochs.TryPinRead()
-		if ps == nil {
-			ps = s.epochs.PinReadSlow()
-		}
-		if ps != nil {
-			for t := 0; t < readTries; t++ {
-				if s.optimisticApplyGroup(sh, ops, opIdx, results) {
-					ps.Release()
-					return
-				}
+	s.shardRead(sh, true, func(bool) {
+		var scratch [opScratchSize]byte
+		if opIdx == nil {
+			for i, op := range ops {
+				results[i] = applyOp(sh.tree, op, s.transformAppend(scratch[:0], op.Key))
 			}
-			ps.Release()
+		} else {
+			for _, i := range opIdx {
+				results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
+			}
 		}
-	}
-	sh.mu.RLock()
-	s.applyGroupWalk(sh, ops, opIdx, results)
-	sh.mu.RUnlock()
-}
-
-// applyGroupWalk runs a read-only op group against sh's tree; shared by the
-// locked and optimistic paths, defer-free for the same codegen reason as
-// getGroupWalk.
-func (s *Store) applyGroupWalk(sh *shard, ops []Op, opIdx []int32, results []Result) {
-	var scratch [opScratchSize]byte
-	if opIdx == nil {
-		for i, op := range ops {
-			results[i] = applyOp(sh.tree, op, s.transformAppend(scratch[:0], op.Key))
-		}
-	} else {
-		for _, i := range opIdx {
-			results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
-		}
-	}
-}
-
-func (s *Store) optimisticApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Result) (valid bool) {
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return false
-	}
-	walking := true
-	defer func() {
-		if walking && recover() != nil {
-			valid = false
-		}
-	}()
-	s.applyGroupWalk(sh, ops, opIdx, results)
-	walking = false
-	return sh.tree.SeqValid(s0)
+	})
 }

@@ -2,7 +2,7 @@
 
 package hyperion
 
-// lockFreeBuild enables the epoch/seqlock optimistic read path. Non-race
-// builds use it (subject to Options.DisableLockFreeReads); race-enabled
-// builds compile it out — see lockfree_race.go.
+// lockFreeBuild enables the optimistic half of the reader protocol
+// (shardRead, shardGet, shardHas). Race-enabled builds compile it out — see
+// lockfree_race.go.
 const lockFreeBuild = true

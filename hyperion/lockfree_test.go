@@ -4,8 +4,9 @@ package hyperion
 // differential is the load-bearing one: N unsynchronized readers doing
 // Get/Has/cursor scans race M writers doing Put/Delete/BulkLoad, and every
 // read must observe an old or a new value — never garbage. On race-detector
-// builds lockFreeBuild is false and the same tests exercise the RWMutex
-// fallback, which keeps the suite meaningful under `go test -race`.
+// builds lockFreeBuild is false and the same tests exercise the locked half
+// of shardRead (and the always-on write-side bracket), which keeps the suite
+// meaningful under `go test -race`.
 
 import (
 	"bytes"
@@ -285,9 +286,6 @@ func TestLockFreeStressDifferential(t *testing.T) {
 // and the epoch advances past the retirement tags.
 func TestRetiredFreesHeldWhilePinned(t *testing.T) {
 	s := New(IntegerOptions())
-	if !s.lockFree {
-		t.Skip("lock-free reads disabled on this build (race detector)")
-	}
 	const n = 4096
 	for i := uint64(0); i < n; i++ {
 		s.PutUint64(i, i)
@@ -327,8 +325,8 @@ func TestRetiredFreesHeldWhilePinned(t *testing.T) {
 // optimistic path validates and never touches the mutex.
 func TestReadsDoNotBlockOnShardMutex(t *testing.T) {
 	s := New(DefaultOptions())
-	if !s.lockFree {
-		t.Skip("lock-free reads disabled on this build (race detector)")
+	if !lockFreeBuild {
+		t.Skip("optimistic reads are compiled out of this build (race detector)")
 	}
 	key := []byte("hyperion")
 	s.Put(key, 42)
@@ -425,35 +423,140 @@ func TestStatsDuringWriteBurst(t *testing.T) {
 
 // TestReadLockMode pins the mode string the concurrency benchmark records.
 func TestReadLockMode(t *testing.T) {
-	s := New(DefaultOptions())
-	wantDefault := "rwmutex"
+	want := "rwmutex"
 	if lockFreeBuild {
-		wantDefault = "epoch"
+		want = "epoch"
 	}
-	if got := s.ReadLockMode(); got != wantDefault {
-		t.Fatalf("default ReadLockMode = %q, want %q", got, wantDefault)
-	}
-	opts := DefaultOptions()
-	opts.DisableLockFreeReads = true
-	if got := New(opts).ReadLockMode(); got != "rwmutex" {
-		t.Fatalf("ReadLockMode with DisableLockFreeReads = %q, want rwmutex", got)
+	if got := New(DefaultOptions()).ReadLockMode(); got != want {
+		t.Fatalf("ReadLockMode = %q, want %q", got, want)
 	}
 }
 
-// TestDisableLockFreeReads checks the escape hatch is semantics-preserving.
-func TestDisableLockFreeReads(t *testing.T) {
-	opts := PreprocessedIntegerOptions()
-	opts.DisableLockFreeReads = true
-	s := New(opts)
-	for i := uint64(0); i < 1000; i++ {
-		s.PutUint64(i, i*3)
+// TestShardReadRetryBound pins the combinator's retry bound by counting body
+// invocations: against a sequence that moves during every optimistic attempt
+// (the body itself plays the racing writer, so the test is deterministic),
+// shardRead runs exactly readTries optimistic attempts and then exactly one
+// locked attempt, whose result stands.
+func TestShardReadRetryBound(t *testing.T) {
+	s := New(DefaultOptions())
+	sh := s.shards[0]
+	var optimistic, locked int
+	result := ""
+	s.shardRead(sh, true, func(opt bool) {
+		if opt {
+			optimistic++
+			sh.tree.BeginWrite()
+			sh.tree.EndWrite()
+			result = "torn"
+			return
+		}
+		locked++
+		result = "locked"
+	})
+	wantOptimistic := 0
+	if lockFreeBuild {
+		wantOptimistic = readTries
 	}
-	for i := uint64(0); i < 1000; i++ {
-		if v, ok := s.GetUint64(i); !ok || v != i*3 {
-			t.Fatalf("GetUint64(%d) = (%d,%v), want (%d,true)", i, v, ok, i*3)
+	if optimistic != wantOptimistic || locked != 1 {
+		t.Fatalf("body ran %d optimistic + %d locked times, want %d + 1", optimistic, locked, wantOptimistic)
+	}
+	if result != "locked" {
+		t.Fatalf("result = %q, want the locked attempt's", result)
+	}
+}
+
+// TestShardReadUnderWriter runs shardRead against a goroutine flipping the
+// write bracket as fast as it can: however the attempts interleave, the body
+// runs at most readTries optimistic times plus at most one locked time per
+// call, and a call that returns has seen one accepted run.
+func TestShardReadUnderWriter(t *testing.T) {
+	s := New(DefaultOptions())
+	sh := s.shards[0]
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s.unlockShardWrite(sh, s.lockShardWrite(sh))
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		var optimistic, locked int
+		s.shardRead(sh, i%2 == 0, func(opt bool) {
+			if opt {
+				optimistic++
+			} else {
+				locked++
+			}
+		})
+		if optimistic > readTries || locked > 1 || optimistic+locked == 0 {
+			t.Fatalf("call %d: body ran %d optimistic + %d locked times", i, optimistic, locked)
+		}
+		if !lockFreeBuild && (optimistic != 0 || locked != 1) {
+			t.Fatalf("call %d: race build ran %d optimistic + %d locked times, want 0 + 1", i, optimistic, locked)
 		}
 	}
-	if s.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", s.Len())
+	stop.Store(true)
+	wg.Wait()
+}
+
+// epochAdvances reports whether the store's epoch domain can still move
+// forward, i.e. no reader pin leaked.
+func epochAdvances(s *Store) bool {
+	before := s.epochs.Epoch()
+	return s.epochs.TryAdvance() > before
+}
+
+// TestShardReadOptimisticPanic: a body that panics while optimistic (a torn
+// walk) is absorbed — the locked attempt supplies the result — and the pin
+// taken for the optimistic attempts is released.
+func TestShardReadOptimisticPanic(t *testing.T) {
+	s := New(DefaultOptions())
+	sh := s.shards[0]
+	for _, pin := range []bool{false, true} {
+		locked := 0
+		s.shardRead(sh, pin, func(opt bool) {
+			if opt {
+				panic("torn walk")
+			}
+			locked++
+		})
+		if locked != 1 {
+			t.Fatalf("pin=%v: locked attempt ran %d times, want 1", pin, locked)
+		}
+		if !epochAdvances(s) {
+			t.Fatalf("pin=%v: epoch cannot advance after a recovered optimistic panic: pin leaked", pin)
+		}
+	}
+}
+
+// TestShardReadLockedPanicPropagates: a panic under the read lock is a real
+// bug, not a torn read — it reaches the caller, and the shard lock and the
+// pin are released on the way out.
+func TestShardReadLockedPanicPropagates(t *testing.T) {
+	s := New(DefaultOptions())
+	sh := s.shards[0]
+	func() {
+		defer func() {
+			if r := recover(); r != "real bug" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		s.shardRead(sh, true, func(opt bool) {
+			if !opt {
+				panic("real bug")
+			}
+			sh.tree.BeginWrite() // invalidate the optimistic attempts
+			sh.tree.EndWrite()
+		})
+		t.Fatal("shardRead returned normally")
+	}()
+	if !sh.mu.TryLock() {
+		t.Fatal("shard read lock still held after the panic propagated")
+	}
+	sh.mu.Unlock()
+	if !epochAdvances(s) {
+		t.Fatal("epoch cannot advance after the panic propagated: pin leaked")
 	}
 }

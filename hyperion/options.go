@@ -61,13 +61,6 @@ type Options struct {
 	DisableJumpTables      bool
 	DisableContainerSplit  bool
 
-	// DisableLockFreeReads forces point reads and scans onto the shard
-	// RWMutex even on builds where the epoch-based lock-free read path is
-	// available. It is the rwmutex baseline of the concurrency benchmark and
-	// an escape hatch; semantics are identical either way. (Race-detector
-	// builds always use the mutex path — see lockfree_race.go.)
-	DisableLockFreeReads bool
-
 	// WALDir enables write-ahead logging: every mutation is logged to
 	// per-shard segment files in this directory before it is applied, and
 	// Open recovers the directory's previous state (checkpoint snapshot +

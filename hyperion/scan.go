@@ -3,12 +3,12 @@ package hyperion
 // This file implements the chunked-snapshot shard scan shared by Range,
 // ScanPrefix, Save (snapshot.go) and ParallelEach (batch.go). The one
 // invariant every iterator relies on lives here, in a single place: a chunk
-// of pairs is snapshotted under the shard read lock, the lock is released
-// BEFORE the chunk is handed on (so user callbacks may write to the store
-// without self-deadlocking), and the scan resumes at the immediate
-// lexicographic successor of the last snapshotted key (its stored form plus
-// one 0x00 byte), which can neither skip nor repeat keys that are not mutated
-// during the iteration.
+// of pairs is snapshotted through shardRead (optimistically, or under the
+// shard read lock), nothing is held when the chunk is handed on (so user
+// callbacks may write to the store without self-deadlocking), and the scan
+// resumes at the immediate lexicographic successor of the last snapshotted
+// key (its stored form plus one 0x00 byte), which can neither skip nor repeat
+// keys that are not mutated during the iteration.
 //
 // Resuming goes through the core cursor engine: every chunk re-seeks the
 // resume key through the container/T-Node jump tables and jump successors
@@ -70,54 +70,35 @@ func (c *kvChunk) hasValue(i int) bool { return c.hasv[i] }
 
 // scanShardChunks streams sh's stored pairs with keys in [tstart, tend)
 // (stored-key space; a nil tend means unbounded) in chunks of up to chunkSize
-// pairs. Every chunk is filled under the shard read lock by seeking a core
-// cursor to the resume key and passed to emit with the lock RELEASED; emit
-// returning false stops the scan. nextChunk supplies the chunk to fill:
-// return a reset chunk to reuse buffers (Range), or a fresh one when emit
-// retains the chunk beyond the call (ParallelEach's channel). abort, if
-// non-nil, is polled per pair and per chunk for cheap early termination from
-// the outside. The return value reports whether the scan ended because it
-// reached tend — callers walking arenas in order can stop at the first shard
-// that crosses the bound.
+// pairs. Every chunk is filled through shardRead (pinned optimistic attempts,
+// shard read lock as fallback) by seeking a core cursor to the resume key,
+// and passed to emit with no lock held; emit returning false stops the scan.
+// nextChunk supplies the chunk to fill (it is reset here): return the same
+// chunk to reuse buffers (Range), or a fresh one when emit retains the chunk
+// beyond the call (ParallelEach's channel). abort, if non-nil, is polled per pair and per
+// chunk for cheap early termination from the outside. The return value
+// reports whether the scan ended because it reached tend — callers walking
+// arenas in order can stop at the first shard that crosses the bound.
 func (s *Store) scanShardChunks(sh *shard, tstart, tend []byte, chunkSize int, abort func() bool, nextChunk func() *kvChunk, emit func(*kvChunk) bool) (reachedEnd bool) {
 	var cur core.Cursor
-	// Two resume buffers: the optimistic fill builds the NEXT resume key into
-	// a separate buffer so a discarded (torn) attempt cannot clobber the
-	// current one; the swap below commits it only after validation.
+	// Two resume buffers: the fill builds the NEXT resume key into a separate
+	// buffer so a discarded (torn) attempt cannot clobber the current one;
+	// the swap below commits it only after shardRead accepted the chunk.
 	var resume, resumeNext []byte
 	resume = append(resume, tstart...)
+	var chunk *kvChunk
+	var full bool
+	fill := func(optimistic bool) {
+		chunk.reset()
+		cur.SetMaxFrames(maxFrames(optimistic))
+		resumeNext, full, reachedEnd = s.fillChunk(sh, &cur, chunk, resume, resumeNext, tend, chunkSize, abort)
+	}
 	for {
 		if abort != nil && abort() {
 			return false
 		}
-		chunk := nextChunk()
-		var full, hitEnd bool
-		filled := false
-		if s.lockFreeReads {
-			// Pinned lock-free fill (lockfree.go protocol): the pin keeps
-			// every reachable byte from being recycled, the seqlock check
-			// discards chunks that raced a mutation.
-			g := s.epochs.Pin()
-			for t := 0; t < readTries; t++ {
-				var valid bool
-				resumeNext, full, hitEnd, valid = s.fillChunkOptimistic(sh, &cur, chunk, resume, resumeNext, tend, chunkSize, abort)
-				if valid {
-					filled = true
-					break
-				}
-				chunk.reset()
-			}
-			g.Unpin()
-		}
-		if !filled {
-			sh.mu.RLock()
-			cur.SetMaxFrames(0)
-			resumeNext, full, hitEnd = s.fillChunk(sh, &cur, chunk, resume, resumeNext, tend, chunkSize, abort)
-			sh.mu.RUnlock()
-		}
-		if hitEnd {
-			reachedEnd = true
-		}
+		chunk = nextChunk()
+		s.shardRead(sh, true, fill)
 		resume, resumeNext = resumeNext, resume
 		if chunk.len() > 0 && !emit(chunk) {
 			return reachedEnd
@@ -128,12 +109,20 @@ func (s *Store) scanShardChunks(sh *shard, tstart, tend []byte, chunkSize int, a
 	}
 }
 
+// maxFrames is the cursor depth bound of a shardRead body: capped while the
+// walk may be torn, unbounded under the lock.
+func maxFrames(optimistic bool) int {
+	if optimistic {
+		return optimisticMaxFrames
+	}
+	return 0
+}
+
 // fillChunk advances the scan by one chunk: it seeks cur to resume, appends
 // up to chunkSize pairs with stored keys in [resume, tend) to chunk, and —
 // when the chunk fills — writes the stored-form successor of the last key
-// into resumeNext (returned possibly regrown). The caller must guarantee a
-// stable tree: either it holds the shard read lock, or it validates the
-// seqlock afterwards and discards everything on a conflict.
+// into resumeNext (returned possibly regrown). It runs as a shardRead body,
+// so it must be restartable: everything it writes is an output.
 func (s *Store) fillChunk(sh *shard, cur *core.Cursor, chunk *kvChunk, resume, resumeNext, tend []byte, chunkSize int, abort func() bool) (nextResume []byte, full, reachedEnd bool) {
 	cur.Init(sh.tree)
 	cur.Seek(resume)
@@ -163,29 +152,6 @@ func (s *Store) fillChunk(sh *shard, cur *core.Cursor, chunk *kvChunk, resume, r
 	return resumeNext, full, reachedEnd
 }
 
-// fillChunkOptimistic is fillChunk under the seqlock contract: it runs
-// without any lock (caller holds an epoch pin), bounds the cursor depth, and
-// reports valid=false — converting torn-walk panics into a retry — when the
-// tree mutated underneath it.
-func (s *Store) fillChunkOptimistic(sh *shard, cur *core.Cursor, chunk *kvChunk, resume, resumeNext, tend []byte, chunkSize int, abort func() bool) (nextResume []byte, full, reachedEnd, valid bool) {
-	nextResume = resumeNext
-	defer func() {
-		if recover() != nil {
-			full, reachedEnd, valid = false, false, false
-		}
-	}()
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return nextResume, false, false, false
-	}
-	cur.SetMaxFrames(optimisticMaxFrames)
-	nextResume, full, reachedEnd = s.fillChunk(sh, cur, chunk, resume, nextResume, tend, chunkSize, abort)
-	if !sh.tree.SeqValid(s0) {
-		return nextResume, false, false, false
-	}
-	return nextResume, full, reachedEnd, true
-}
-
 // countChunkSize bounds how many pairs CountPrefix counts per lock
 // acquisition. Counting neither copies nor untransforms keys, so the
 // per-pair cost under the lock is far below Range's and a larger chunk
@@ -199,37 +165,18 @@ const countChunkSize = 4096
 // (untransformed) form starts with it — the over-approximation filter of
 // prefixBounds; only then are keys untransformed, into one reused scratch.
 // Returns the count and whether the scan crossed tend.
-func (s *Store) countShardRange(sh *shard, tstart, tend, rawPrefix []byte) (int, bool) {
+func (s *Store) countShardRange(sh *shard, tstart, tend, rawPrefix []byte) (total int, reachedEnd bool) {
 	var cur core.Cursor
 	var resume, resumeNext, scratch []byte
 	resume = append(resume, tstart...)
-	total := 0
-	reachedEnd := false
+	var n int
+	var full bool
+	count := func(optimistic bool) {
+		cur.SetMaxFrames(maxFrames(optimistic))
+		n, resumeNext, scratch, full, reachedEnd = s.countChunk(sh, &cur, resume, resumeNext, scratch, tend, rawPrefix)
+	}
 	for {
-		var n int
-		var full, hitEnd bool
-		counted := false
-		if s.lockFreeReads {
-			g := s.epochs.Pin()
-			for t := 0; t < readTries; t++ {
-				var valid bool
-				n, resumeNext, scratch, full, hitEnd, valid = s.countChunkOptimistic(sh, &cur, resume, resumeNext, scratch, tend, rawPrefix)
-				if valid {
-					counted = true
-					break
-				}
-			}
-			g.Unpin()
-		}
-		if !counted {
-			sh.mu.RLock()
-			cur.SetMaxFrames(0)
-			n, resumeNext, scratch, full, hitEnd = s.countChunk(sh, &cur, resume, resumeNext, scratch, tend, rawPrefix)
-			sh.mu.RUnlock()
-		}
-		if hitEnd {
-			reachedEnd = true
-		}
+		s.shardRead(sh, true, count)
 		total += n
 		resume, resumeNext = resumeNext, resume
 		if !full || reachedEnd {
@@ -240,7 +187,7 @@ func (s *Store) countShardRange(sh *shard, tstart, tend, rawPrefix []byte) (int,
 
 // countChunk counts up to countChunkSize pairs in [resume, tend) and, when
 // the chunk fills, writes the resume successor into resumeNext. Same
-// stability contract as fillChunk.
+// restartable-body contract as fillChunk.
 func (s *Store) countChunk(sh *shard, cur *core.Cursor, resume, resumeNext, scratch, tend, rawPrefix []byte) (n int, nextResume, nextScratch []byte, full, reachedEnd bool) {
 	cur.Init(sh.tree)
 	cur.Seek(resume)
@@ -271,25 +218,4 @@ func (s *Store) countChunk(sh *shard, cur *core.Cursor, resume, resumeNext, scra
 		}
 	}
 	return n, resumeNext, scratch, full, reachedEnd
-}
-
-// countChunkOptimistic is countChunk under the seqlock contract (see
-// fillChunkOptimistic).
-func (s *Store) countChunkOptimistic(sh *shard, cur *core.Cursor, resume, resumeNext, scratch, tend, rawPrefix []byte) (n int, nextResume, nextScratch []byte, full, reachedEnd, valid bool) {
-	nextResume, nextScratch = resumeNext, scratch
-	defer func() {
-		if recover() != nil {
-			n, full, reachedEnd, valid = 0, false, false, false
-		}
-	}()
-	s0, stable := sh.tree.ReadSeq()
-	if !stable {
-		return 0, nextResume, nextScratch, false, false, false
-	}
-	cur.SetMaxFrames(optimisticMaxFrames)
-	n, nextResume, nextScratch, full, reachedEnd = s.countChunk(sh, cur, resume, nextResume, nextScratch, tend, rawPrefix)
-	if !sh.tree.SeqValid(s0) {
-		return 0, nextResume, nextScratch, false, false, false
-	}
-	return n, nextResume, nextScratch, full, reachedEnd, true
 }

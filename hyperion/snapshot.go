@@ -199,7 +199,7 @@ func (s *Store) encodeSection(arena int) ([]byte, uint64) {
 	var count uint64
 	var chunk kvChunk
 	s.scanShardChunks(s.shards[arena], nil, nil, rangeChunkSize, nil,
-		func() *kvChunk { chunk.reset(); return &chunk },
+		func() *kvChunk { return &chunk },
 		func(c *kvChunk) bool {
 			for j := 0; j < c.len(); j++ {
 				k := c.key(j)

@@ -27,15 +27,8 @@ type Store struct {
 	workers int
 
 	// epochs is the store-wide reclamation domain of the lock-free read
-	// path; lockFree caches whether that machinery is active (non-race build
-	// and not disabled via options). lockFreeReads additionally gates just
-	// the read-side protocol and can be toggled at runtime
-	// (SetLockFreeReads) for paired benchmarking; write-side publication and
-	// deferred reclamation stay on whenever lockFree is set, so a toggled
-	// store never leaks un-drainable retired memory. See lockfree.go.
-	epochs        *epoch.Domain
-	lockFree      bool
-	lockFreeReads bool
+	// path (lockfree.go).
+	epochs *epoch.Domain
 
 	// Durability state (wal.go): walErr is the sticky first WAL failure
 	// (while set and the store is open, writes are rejected — degraded
@@ -64,14 +57,10 @@ func New(opts Options) *Store {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
 	s.epochs = epoch.NewDomain()
-	s.lockFree = lockFreeBuild && !opts.DisableLockFreeReads
-	s.lockFreeReads = s.lockFree
-	if s.lockFree {
-		// Frees must not recycle memory a pinned reader may still reach:
-		// route them through the epoch-deferred queue.
-		for _, sh := range s.shards {
-			sh.tree.Allocator().DeferFrees(true)
-		}
+	// Frees must not recycle memory a pinned reader may still reach: route
+	// them through the epoch-deferred queue.
+	for _, sh := range s.shards {
+		sh.tree.Allocator().DeferFrees(true)
 	}
 	return s
 }
@@ -219,7 +208,7 @@ func (s *Store) scanRange(startShard int, tstart, tend, rawPrefix []byte, fn fun
 			return
 		}
 		reachedEnd := s.scanShardChunks(sh, tstart, tend, rangeChunkSize, nil,
-			func() *kvChunk { chunk.reset(); return &chunk },
+			func() *kvChunk { return &chunk },
 			func(c *kvChunk) bool {
 				for i := 0; i < c.len(); i++ {
 					if rawPrefix != nil && !bytes.HasPrefix(c.key(i), rawPrefix) {

@@ -2,7 +2,6 @@ package flowcheck
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -43,18 +42,6 @@ func (fc *funcChecker) evalExpr(e ast.Expr, st *state, topDiscard bool) {
 		fc.evalExpr(x.X, st, false)
 
 	case *ast.BinaryExpr:
-		// Comparisons against nil are reads used for refinement, not
-		// escapes.
-		if x.Op == token.EQL || x.Op == token.NEQ {
-			if isNilIdent(x.Y) {
-				fc.evalNonEscaping(x.X, st)
-				return
-			}
-			if isNilIdent(x.X) {
-				fc.evalNonEscaping(x.Y, st)
-				return
-			}
-		}
 		fc.evalExpr(x.X, st, false)
 		fc.evalExpr(x.Y, st, false)
 
@@ -103,16 +90,6 @@ func (fc *funcChecker) evalExpr(e ast.Expr, st *state, topDiscard bool) {
 	default:
 		// Literals, types: no effects.
 	}
-}
-
-// evalNonEscaping walks e for call effects but does not treat a bare tracked
-// ident as an escape (comparison reads).
-func (fc *funcChecker) evalNonEscaping(e ast.Expr, st *state) {
-	if id, ok := e.(*ast.Ident); ok {
-		_ = id
-		return
-	}
-	fc.evalExpr(e, st, false)
 }
 
 // evalCall applies one call's effects: argument escapes, pair open/close,
@@ -194,7 +171,7 @@ func (fc *funcChecker) evalCall(call *ast.CallExpr, st *state, topDiscard bool) 
 		}
 	}
 
-	if topDiscard && (contains(fc.cfg.PinFuncs, name) || contains(fc.cfg.TryPinFuncs, name)) {
+	if topDiscard && contains(fc.cfg.PinFuncs, name) {
 		fc.reportOnce(call.Pos(), "result of %s discarded: the pin can never be released", name)
 	}
 }
@@ -253,20 +230,14 @@ func (fc *funcChecker) execAssign(s *ast.AssignStmt, in *stateSet) *stateSet {
 			}
 			if call, ok := rhs.(*ast.CallExpr); ok && lhsID != nil && lhsID.Name != "_" {
 				name := callName(call)
-				isPin := contains(fc.cfg.PinFuncs, name)
-				isTry := contains(fc.cfg.TryPinFuncs, name)
-				if isPin || isTry {
+				if contains(fc.cfg.PinFuncs, name) {
 					fc.evalCall(call, st, false)
 					v := assignedVar(fc.pass.TypesInfo, lhsID)
 					if v != nil {
-						if old, held := st.pins[v]; held && old.status != pinNil && !st.defPins[v] {
+						if old, held := st.pins[v]; held && !st.defPins[v] {
 							fc.reportOnce(old.site, "pin acquired by %s is overwritten before it is released", old.src)
 						}
-						status := pinHeld
-						if isTry {
-							status = pinMaybe
-						}
-						st.pins[v] = pinInfo{status: status, site: call.Pos(), src: name}
+						st.pins[v] = pinInfo{site: call.Pos(), src: name}
 					}
 					continue
 				}
@@ -274,16 +245,10 @@ func (fc *funcChecker) execAssign(s *ast.AssignStmt, in *stateSet) *stateSet {
 			fc.evalExpr(rhs, st, false)
 			if lhsID != nil {
 				if v := assignedVar(fc.pass.TypesInfo, lhsID); v != nil {
-					if old, held := st.pins[v]; held && old.status == pinHeld && !st.defPins[v] {
+					if old, held := st.pins[v]; held && !st.defPins[v] {
 						fc.reportOnce(old.site, "pin acquired by %s is overwritten before it is released", old.src)
 					}
-					if _, tracked := st.pins[v]; tracked {
-						if isNilIdent(rhs) {
-							st.pins[v] = pinInfo{status: pinNil, site: v.Pos(), src: "nil"}
-						} else {
-							delete(st.pins, v)
-						}
-					}
+					delete(st.pins, v)
 				}
 			}
 		}
@@ -307,101 +272,6 @@ func assignedVar(info *types.Info, id *ast.Ident) *types.Var {
 		return v
 	}
 	return nil
-}
-
-// refineSet filters and refines states through a branch condition.
-func refineSet(info *types.Info, in *stateSet, cond ast.Expr, branch bool) *stateSet {
-	out := newStateSet()
-	for _, st := range in.list {
-		for _, r := range refineState(info, st, cond, branch) {
-			out.add(r)
-		}
-	}
-	return out
-}
-
-// refineState returns the feasible refinements of st under cond==branch
-// (possibly none: an infeasible path is pruned).
-func refineState(info *types.Info, st *state, cond ast.Expr, branch bool) []*state {
-	switch x := cond.(type) {
-	case *ast.ParenExpr:
-		return refineState(info, st, x.X, branch)
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			return refineState(info, st, x.X, !branch)
-		}
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.LAND:
-			if branch {
-				return refineSeq(info, st, x.X, true, x.Y, true)
-			}
-			// !(a && b) == !a || (a && !b)
-			out := refineState(info, st, x.X, false)
-			out = append(out, refineSeq(info, st, x.X, true, x.Y, false)...)
-			return out
-		case token.LOR:
-			if !branch {
-				return refineSeq(info, st, x.X, false, x.Y, false)
-			}
-			out := refineState(info, st, x.X, true)
-			out = append(out, refineSeq(info, st, x.X, false, x.Y, true)...)
-			return out
-		case token.EQL, token.NEQ:
-			var id *ast.Ident
-			if isNilIdent(x.Y) {
-				id, _ = x.X.(*ast.Ident)
-			} else if isNilIdent(x.X) {
-				id, _ = x.Y.(*ast.Ident)
-			}
-			if id != nil {
-				if v, ok := info.Uses[id].(*types.Var); ok {
-					if pi, tracked := st.pins[v]; tracked {
-						isNil := branch == (x.Op == token.EQL)
-						return refineNil(st, v, pi, isNil)
-					}
-				}
-			}
-		}
-	}
-	return []*state{st}
-}
-
-func refineSeq(info *types.Info, st *state, a ast.Expr, av bool, b ast.Expr, bv bool) []*state {
-	var out []*state
-	for _, s1 := range refineState(info, st, a, av) {
-		out = append(out, refineState(info, s1, b, bv)...)
-	}
-	return out
-}
-
-// refineNil narrows a tracked pin to the nil / non-nil arm, pruning
-// infeasible combinations.
-func refineNil(st *state, v *types.Var, pi pinInfo, isNil bool) []*state {
-	if isNil {
-		switch pi.status {
-		case pinHeld:
-			return nil // held value compared equal to nil: impossible
-		case pinMaybe, pinNil:
-			ns := st.clone()
-			ns.pins[v] = pinInfo{status: pinNil, site: pi.site, src: pi.src}
-			return []*state{ns}
-		}
-	}
-	switch pi.status {
-	case pinNil:
-		return nil
-	case pinMaybe:
-		ns := st.clone()
-		ns.pins[v] = pinInfo{status: pinHeld, site: pi.site, src: pi.src}
-		return []*state{ns}
-	}
-	return []*state{st}
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 func callName(c *ast.CallExpr) string {

@@ -77,15 +77,12 @@ func (fc *funcChecker) execStmt(stmt ast.Stmt, in *stateSet) *stateSet {
 			out = fc.execStmt(s.Init, out)
 		}
 		out = fc.applyExpr(s.Cond, out)
-		thenIn := refineSet(fc.pass.TypesInfo, out, s.Cond, true)
-		elseIn := refineSet(fc.pass.TypesInfo, out, s.Cond, false)
-		thenOut := fc.execStmt(s.Body, thenIn)
+		thenOut := fc.execStmt(s.Body, out)
 		if s.Else != nil {
-			elseOut := fc.execStmt(s.Else, elseIn)
-			thenOut.addAll(elseOut)
+			thenOut.addAll(fc.execStmt(s.Else, out))
 			return thenOut
 		}
-		thenOut.addAll(elseIn)
+		thenOut.addAll(out)
 		return thenOut
 
 	case *ast.ForStmt:
@@ -173,7 +170,6 @@ func (fc *funcChecker) execLoop(head *stateSet, cond ast.Expr, body *ast.BlockSt
 		enter := headSet
 		if cond != nil {
 			enter = fc.applyExpr(cond, enter)
-			enter = refineSet(fc.pass.TypesInfo, enter, cond, true)
 		}
 		bodyOut := fc.execStmt(body, enter)
 		bodyOut.addAll(lc.continues)
@@ -190,8 +186,7 @@ func (fc *funcChecker) execLoop(head *stateSet, cond ast.Expr, body *ast.BlockSt
 	}
 	exit := newStateSet()
 	if cond != nil {
-		after := fc.applyExpr(cond, headSet)
-		exit.addAll(refineSet(fc.pass.TypesInfo, after, cond, false))
+		exit.addAll(fc.applyExpr(cond, headSet))
 	} else {
 		// Range loops exit after exhaustion with the head states; a bare
 		// `for {}` exits only via break, but letting head states flow to
@@ -346,9 +341,6 @@ func (fc *funcChecker) checkExit(st *state, pos token.Pos, returned map[*types.V
 		}
 	}
 	for v, pi := range st.pins {
-		if pi.status == pinNil {
-			continue
-		}
 		if st.defPins[v] {
 			continue
 		}

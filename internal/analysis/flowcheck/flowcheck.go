@@ -3,11 +3,9 @@
 //
 // It abstract-interprets a function body over sets of small states: per
 // bracket pair a nesting depth (seqlock write brackets, shard write locks)
-// and per pin variable a status (held / maybe-nil / nil / released), with
-// nil-comparison branch refinement so the TryPinRead -> PinReadSlow ->
-// Release idiom checks precisely. Deferred closes and releases are tracked as
-// registered, returns transfer pin ownership to the caller, and explicit
-// panic statements are exits on which only deferred cleanup counts.
+// and per pin variable whether it is held. Deferred closes and releases are
+// tracked as registered, returns transfer pin ownership to the caller, and
+// explicit panic statements are exits on which only deferred cleanup counts.
 //
 // The engine is deliberately conservative in the quiet direction: functions
 // containing goto, and states a tracked value escapes from (stored, passed to
@@ -47,9 +45,8 @@ type Config struct {
 	Pairs     []PairSpec
 	UnderOpen []UnderOpenSpec
 
-	PinFuncs     []string // calls returning a pin that is always live (Pin)
-	TryPinFuncs  []string // calls returning a pin or nil (TryPinRead, PinReadSlow)
-	ReleaseFuncs []string // method names releasing a pin (Unpin, Release)
+	PinFuncs     []string // calls returning a pin (Pin)
+	ReleaseFuncs []string // method names releasing a pin (Unpin)
 
 	// ExemptAnnotation marks protocol-half functions (e.g.
 	// "hyperion:bracket"): a function whose doc comment contains it skips
@@ -95,20 +92,10 @@ func docContains(doc *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// pinStatus is the abstract state of one tracked pin variable.
-type pinStatus uint8
-
-const (
-	pinHeld  pinStatus = iota // definitely live
-	pinMaybe                  // nil or live (Try* result before refinement)
-	pinNil                    // definitely nil
-)
-
-// pinInfo is a tracked pin variable's state plus its acquisition site.
+// pinInfo is a held pin variable's acquisition site.
 type pinInfo struct {
-	status pinStatus
-	site   token.Pos
-	src    string // acquiring call name, for diagnostics
+	site token.Pos
+	src  string // acquiring call name, for diagnostics
 }
 
 // state is one abstract execution state. Maps are copy-on-write via clone.
@@ -153,7 +140,7 @@ func (s *state) key() string {
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
 	for _, v := range vars {
 		pi := s.pins[v]
-		fmt.Fprintf(&b, "v%d=%d@%d;", v.Pos(), pi.status, pi.site)
+		fmt.Fprintf(&b, "v%d@%d;", v.Pos(), pi.site)
 	}
 	dvars := make([]*types.Var, 0, len(s.defPins))
 	for v := range s.defPins {

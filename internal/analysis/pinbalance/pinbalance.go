@@ -1,23 +1,13 @@
-// Package pinbalance verifies epoch pin hygiene (PR 6): every successful
-// Domain.Pin is matched by a Guard.Unpin and every successful
-// TryPinRead/PinReadSlow by a Slot.Release, on every control-flow path —
-// including panic paths, which must release via defer.
+// Package pinbalance verifies epoch pin hygiene (PR 6): every Domain.Pin is
+// matched by a Guard.Unpin on every control-flow path — including panic
+// paths, which must release via defer.
 //
 // A leaked pin is the quietest resource bug in the codebase: nothing crashes,
 // no test fails, but the epoch can never advance past the leaked reader, so
 // retired tree nodes accumulate forever. The memory manager's reclamation
-// stalls and the process slowly eats the heap. Because TryPinRead returns nil
-// under contention, the checker tracks nil-ness through branches, so the
-// canonical fallback
-//
-//	ps := d.TryPinRead()
-//	if ps == nil { ps = d.PinReadSlow() }
-//	... ps.Release()
-//
-// is accepted, while dropping the slot on any arm is not. Returning the
-// guard transfers ownership to the caller (the lockShardWrite idiom).
-// Deliberate leaks (process-lifetime pins) are suppressed with
-// `//nolint:pinbalance <reason>`.
+// stalls and the process slowly eats the heap. Returning the guard transfers
+// ownership to the caller (the lockShardWrite idiom). Deliberate leaks
+// (process-lifetime pins) are suppressed with `//nolint:pinbalance <reason>`.
 package pinbalance
 
 import (
@@ -28,15 +18,14 @@ import (
 // Analyzer is the pinbalance entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "pinbalance",
-	Doc:  "check that every epoch pin (Pin/TryPinRead/PinReadSlow) is released (Unpin/Release) on all control-flow paths, including panic paths via defer",
+	Doc:  "check that every epoch pin (Pin) is released (Unpin) on all control-flow paths, including panic paths via defer",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	cfg := flowcheck.Config{
 		PinFuncs:         []string{"Pin"},
-		TryPinFuncs:      []string{"TryPinRead", "PinReadSlow"},
-		ReleaseFuncs:     []string{"Unpin", "Release"},
+		ReleaseFuncs:     []string{"Unpin"},
 		ExemptAnnotation: "hyperion:bracket",
 	}
 	cfg.Check(pass)

@@ -1,6 +1,5 @@
 // Package a models the epoch pin protocol for pinbalance tests: a Domain
-// handing out value Guards (Pin/Unpin) and nilable *Slots
-// (TryPinRead/PinReadSlow/Release), exercised in correct and leaky shapes.
+// handing out value Guards (Pin/Unpin), exercised in correct and leaky shapes.
 package a
 
 // Guard mimics epoch.Guard.
@@ -9,21 +8,10 @@ type Guard struct{ d *Domain }
 // Unpin mimics Guard.Unpin.
 func (g Guard) Unpin() {}
 
-// Slot mimics epoch.Slot.
-type Slot struct{ epoch uint64 }
-
-// Release mimics Slot.Release.
-func (s *Slot) Release() {}
-
-// Read stands in for any non-releasing use of a pinned slot.
-func (s *Slot) Read() uint64 { return s.epoch }
-
 // Domain mimics epoch.Domain.
 type Domain struct{ global uint64 }
 
-func (d *Domain) Pin() Guard         { return Guard{d: d} }
-func (d *Domain) TryPinRead() *Slot  { return nil }
-func (d *Domain) PinReadSlow() *Slot { return &Slot{} }
+func (d *Domain) Pin() Guard { return Guard{d: d} }
 
 func bad() bool { return false }
 
@@ -42,37 +30,19 @@ func pinLeakConditional(d *Domain, cond bool) {
 	g.Unpin()
 }
 
-// tryOK is the canonical readGetGroup shape: optimistic TryPinRead with a
-// PinReadSlow fallback, one Release for whichever succeeded.
-func tryOK(d *Domain) uint64 {
-	ps := d.TryPinRead()
-	if ps == nil {
-		ps = d.PinReadSlow()
+// condPinOK is the shardRead shape: a guard that is pinned only on some
+// paths, released by one deferred Unpin (a no-op on the zero Guard).
+func condPinOK(d *Domain, pin bool) {
+	var g Guard
+	if pin {
+		g = d.Pin()
 	}
-	v := ps.Read()
-	ps.Release()
-	return v
-}
-
-// tryLeak releases only the failure arm: the successful pin escapes with the
-// return value.
-func tryLeak(d *Domain) uint64 {
-	ps := d.TryPinRead() // want `pin acquired by TryPinRead is not released on every path to return`
-	if ps == nil {
-		return 0
+	defer func() {
+		g.Unpin()
+	}()
+	if bad() {
+		panic("torn walk")
 	}
-	return ps.Read()
-}
-
-// tryNilOK releases exactly when the pin succeeded; the nil arm owes nothing.
-func tryNilOK(d *Domain) uint64 {
-	ps := d.TryPinRead()
-	if ps != nil {
-		v := ps.Read()
-		ps.Release()
-		return v
-	}
-	return 0
 }
 
 // deferOK covers the panic path with a deferred Unpin.

@@ -13,20 +13,15 @@ import (
 )
 
 // This file implements the concurrent-throughput experiment: ops/s over a
-// grid of arenas × workers × lock mode × read/write mix. The headline
-// comparison is the epoch-based lock-free read path (lockfree.go in the
-// hyperion package) against the RWMutex baseline (DisableLockFreeReads) on
-// the read-mostly mixes the paper's deployment motivates (§1: a KV-store
-// node sustaining millions of ops/s): 100/0 and 95/5 read/write. Every row
-// records the effective lock mode, the mix, GOMAXPROCS and NumCPU so the
-// scaling curves in BENCH_concurrency.json are attributable to a machine
-// shape; CI validates that the epoch rows dominate the rwmutex rows on the
-// read mixes.
+// grid of arenas × workers × read/write mix, on the read-mostly mixes the
+// paper's deployment motivates (§1: a KV-store node sustaining millions of
+// ops/s): 100/0 and 95/5 read/write. Every row records the build's read-path
+// lock mode, the mix, GOMAXPROCS and NumCPU so the scaling curves in
+// BENCH_concurrency.json are attributable to a machine shape. (The retired
+// epoch-vs-rwmutex comparison is recorded in DESIGN.md.)
 
-// Mix identifiers. Read rows (ReadFraction > 0) are the ones the epoch vs
-// rwmutex CI validation compares; the write mix is recorded for
-// attribution (it also measures the epoch write-side overhead: pin,
-// seqlock bracket, deferred-free drain).
+// Mix identifiers. The write mix includes the write-side protocol cost: pin,
+// seqlock bracket, deferred-free drain.
 const (
 	MixWrite     = "write"      // 100% single-op Put (the timed preload)
 	MixRead      = "read-100-0" // 100% single-op Get
@@ -34,20 +29,19 @@ const (
 	MixBatchRead = "batch-read" // 100% GetBatch lookups
 )
 
-// ConcurrencyPoint is one row of the grid: one (arenas, workers, lock mode,
-// mix) cell. Throughput is operations per second over the full data set;
-// read mixes report the best of several passes to damp scheduler noise.
+// ConcurrencyPoint is one row of the grid: one (arenas, workers, mix) cell.
+// Throughput is operations per second over the full data set; read mixes
+// report the best of several passes to damp scheduler noise.
 type ConcurrencyPoint struct {
 	Arenas  int `json:"arenas"`
 	Workers int `json:"workers"`
 	// GOMAXPROCS and NumCPU pin the machine shape the row was measured on:
-	// the scaling claim (epoch reads scale with cores, rwmutex flatlines) is
-	// only testable when gomaxprocs > 1, and CI gates on that.
+	// scaling with workers is only observable when gomaxprocs > 1.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"numcpu"`
-	// LockMode is the store's effective read-path mode for this row:
-	// "epoch" (lock-free seqlock-validated reads) or "rwmutex" (per-shard read lock,
-	// forced via DisableLockFreeReads or a race-detector build).
+	// LockMode is the build's read-path mode (Store.ReadLockMode): "epoch"
+	// (lock-free seqlock-validated reads) or "rwmutex" (per-shard read lock;
+	// race-detector builds).
 	LockMode string `json:"lock_mode"`
 	// Mix is one of the Mix* constants; ReadFraction is its fraction of
 	// read operations (1.0 for pure-read mixes, 0 for the write mix).
@@ -117,31 +111,12 @@ func opsPerSec(n int, fn func()) float64 {
 	return float64(n) / time.Since(start).Seconds()
 }
 
-// readReps is how many passes each read mix runs per lock mode; the
-// reported throughput is the best pass. The two modes' passes are
-// interleaved (epoch, rwmutex, rwmutex, epoch, ...) so slow machine-level
-// drift — thermal throttling, a noisy co-tenant — lands on both modes
-// equally instead of biasing whichever mode happened to run later.
+// readReps is how many passes each read mix runs; the reported throughput is
+// the best pass. The count is fixed: no extension depends on the outcome.
 const readReps = 16
 
-// When the epoch/rwmutex comparison comes out inverted after the base reps,
-// the measurement is extended by up to extendRounds further rounds of
-// extendReps interleaved passes per mode. The protocol margin is a few
-// percent of an op while single-session drift (thermal, co-tenants) can
-// exceed it; the best-of estimator only converges upward toward each mode's
-// clean-window throughput, so identical extra sampling for both modes
-// resolves estimator variance without biasing the ratio. If the inversion
-// survives the cap it is reported as measured.
-const (
-	extendRounds = 3
-	extendReps   = 8
-)
-
-// RunConcurrency measures the arenas × workers × lock-mode × mix grid on
-// the randomized integer data set. For every (arenas, workers) cell two
-// stores are built over identical data — the epoch lock-free read path and
-// the rwmutex baseline (DisableLockFreeReads) — and every read mix is
-// measured in interleaved passes over both.
+// RunConcurrency measures the arenas × workers × mix grid on the randomized
+// integer data set, one store per (arenas, workers) cell.
 func RunConcurrency(cfg Config) ConcurrencyResult {
 	cfg = concurrencyDefaults(cfg)
 	n := cfg.ConcKeys
@@ -155,7 +130,7 @@ func RunConcurrency(cfg Config) ConcurrencyResult {
 
 	res := ConcurrencyResult{
 		ID:        "concurrency",
-		Title:     fmt.Sprintf("Concurrency: epoch vs rwmutex read scaling over arenas × workers (%d random integer keys, batch %d)", n, batch),
+		Title:     fmt.Sprintf("Concurrency: read/write scaling over arenas × workers (%d random integer keys, batch %d)", n, batch),
 		Keys:      n,
 		BatchSize: batch,
 	}
@@ -164,87 +139,47 @@ func RunConcurrency(cfg Config) ConcurrencyResult {
 
 	for _, arenas := range cfg.ConcArenas {
 		for _, workers := range cfg.ConcWorkers {
-			var stores [2]*hyperion.Store
-			for m, disableLockFree := range []bool{false, true} {
-				o := hyperion.IntegerOptions()
-				o.Arenas = arenas
-				o.BatchWorkers = workers
-				o.DisableLockFreeReads = disableLockFree
-				stores[m] = hyperion.New(o)
-			}
-			row := func(lockMode, mix string, readFraction, ops float64) {
+			o := hyperion.IntegerOptions()
+			o.Arenas = arenas
+			o.BatchWorkers = workers
+			s := hyperion.New(o)
+			row := func(mix string, readFraction, ops float64) {
 				res.Points = append(res.Points, ConcurrencyPoint{
 					Arenas:       arenas,
 					Workers:      workers,
 					GOMAXPROCS:   gmp,
 					NumCPU:       ncpu,
-					LockMode:     lockMode,
+					LockMode:     s.ReadLockMode(),
 					Mix:          mix,
 					ReadFraction: readFraction,
 					OpsPerSec:    ops,
 				})
 			}
-			// measure runs every read mix against stores[0] under BOTH read
-			// modes, flipping SetLockFreeReads between passes: both protocols
-			// then walk the exact same tree in the exact same memory, so
-			// allocation-layout luck cancels out of the epoch/rwmutex ratio
-			// and only the read protocol differs. The mode order alternates
-			// every repetition (epoch, rwmutex, rwmutex, epoch, ...) so slow
-			// machine-level drift lands on both modes equally, and the best
-			// pass per mode is reported.
-			measure := func(mix string, readFraction float64, reps int, pass func(s *hyperion.Store)) {
-				s0 := stores[0]
-				// A GC cycle landing inside one mode's pass but not the
-				// other's is the dominant residual noise at these pass
-				// lengths; collect up front and hold the collector off for
-				// the (bounded) measurement window.
+			measure := func(mix string, readFraction float64, pass func()) {
+				// A GC cycle landing inside one pass is the dominant residual
+				// noise at these pass lengths; collect up front and hold the
+				// collector off for the (bounded) measurement window.
 				runtime.GC()
 				gcPct := debug.SetGCPercent(-1)
-				var best [2]float64
-				var mode [2]string
-				for rep := 0; rep < reps; rep++ {
-					for k := 0; k < 2; k++ {
-						m := k ^ (rep & 1)
-						s0.SetLockFreeReads(m == 0)
-						mode[m] = s0.ReadLockMode()
-						if v := opsPerSec(n, func() { pass(s0) }); v > best[m] {
-							best[m] = v
-						}
-					}
-				}
-				for round := 0; round < extendRounds && best[0] < best[1]; round++ {
-					for rep := 0; rep < extendReps; rep++ {
-						for k := 0; k < 2; k++ {
-							m := k ^ (rep & 1)
-							s0.SetLockFreeReads(m == 0)
-							if v := opsPerSec(n, func() { pass(s0) }); v > best[m] {
-								best[m] = v
-							}
-						}
-					}
+				best := 0.0
+				for rep := 0; rep < readReps; rep++ {
+					best = max(best, opsPerSec(n, pass))
 				}
 				debug.SetGCPercent(gcPct)
-				s0.SetLockFreeReads(true)
-				for m := range best {
-					row(mode[m], mix, readFraction, best[m])
-				}
+				row(mix, readFraction, best)
 			}
 
-			// The write mix doubles as the preload for the read mixes; it
-			// compares full store configurations (stores[1] carries no
-			// publication brackets at all), one pass per store by
-			// construction — alternation is not available.
-			for _, s := range stores {
-				row(s.ReadLockMode(), MixWrite, 0, opsPerSec(n, func() {
-					parallelFor(workers, n, func(i int) { s.Put(ds.Key(i), ds.Value(i)) })
-				}))
-			}
+			// The write mix doubles as the preload for the read mixes: one
+			// pass by construction.
+			row(MixWrite, 0, opsPerSec(n, func() {
+				parallelFor(workers, n, func(i int) { s.Put(ds.Key(i), ds.Value(i)) })
+			}))
 
-			measure(MixRead, 1, readReps, func(s *hyperion.Store) {
+			measure(MixRead, 1, func() {
 				parallelFor(workers, n, func(i int) { s.Get(ds.Key(i)) })
 			})
 
-			measure(MixMixed, 0.95, readReps, func(s *hyperion.Store) {
+			measure(MixMixed, 0.95, func() {
 				parallelFor(workers, n, func(i int) {
 					if i%20 == 0 {
 						s.Put(ds.Key(i), ds.Value(i))
@@ -256,7 +191,7 @@ func RunConcurrency(cfg Config) ConcurrencyResult {
 
 			// The batched read goes through the registry's optional
 			// interface, the same dispatch any non-Hyperion batcher gets.
-			measure(MixBatchRead, 1, readReps, func(s *hyperion.Store) {
+			measure(MixBatchRead, 1, func() {
 				batched, ok := index.AsBatcher(s)
 				if !ok {
 					panic("bench: hyperion store does not implement index.Batcher")

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/hyperion"
 )
 
 func TestRunConcurrencyGrid(t *testing.T) {
@@ -16,11 +18,11 @@ func TestRunConcurrencyGrid(t *testing.T) {
 	cfg.ConcArenas = []int{1, 8}
 	cfg.ConcWorkers = []int{1, 4}
 	res := RunConcurrency(cfg)
-	// Per (arenas, workers) cell: two lock modes × four mixes.
-	if want := len(cfg.ConcArenas) * len(cfg.ConcWorkers) * 2 * 4; len(res.Points) != want {
+	// Per (arenas, workers) cell: four mixes.
+	if want := len(cfg.ConcArenas) * len(cfg.ConcWorkers) * 4; len(res.Points) != want {
 		t.Fatalf("expected %d grid rows, got %d", want, len(res.Points))
 	}
-	modes := map[string]int{}
+	lockMode := hyperion.New(hyperion.DefaultOptions()).ReadLockMode()
 	mixes := map[string]int{}
 	for _, p := range res.Points {
 		if p.OpsPerSec <= 0 {
@@ -29,8 +31,8 @@ func TestRunConcurrencyGrid(t *testing.T) {
 		if p.GOMAXPROCS != runtime.GOMAXPROCS(0) || p.NumCPU != runtime.NumCPU() {
 			t.Fatalf("row %+v does not record the machine shape", p)
 		}
-		if p.LockMode != "epoch" && p.LockMode != "rwmutex" {
-			t.Fatalf("row %+v has unknown lock mode", p)
+		if p.LockMode != lockMode {
+			t.Fatalf("row %+v does not record the build's lock mode", p)
 		}
 		switch p.Mix {
 		case MixWrite:
@@ -48,22 +50,16 @@ func TestRunConcurrencyGrid(t *testing.T) {
 		default:
 			t.Fatalf("row %+v has unknown mix", p)
 		}
-		modes[p.LockMode]++
 		mixes[p.Mix]++
 	}
 	if len(mixes) != 4 {
 		t.Fatalf("expected 4 mixes, got %v", mixes)
 	}
-	// On race-detector builds the lock-free path is compiled out and both
-	// stores honestly report rwmutex; otherwise the modes must split evenly.
-	if len(modes) == 2 && modes["epoch"] != modes["rwmutex"] {
-		t.Fatalf("uneven mode split: %v", modes)
-	}
 
 	var buf bytes.Buffer
 	WriteConcurrency(&buf, res)
 	out := buf.String()
-	for _, want := range []string{"arenas", "workers", "mix", "epoch ops/s", "rwmutex ops/s", "gomaxprocs"} {
+	for _, want := range []string{"arenas", "workers", "mix", "ops/s", "lock mode", "gomaxprocs"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered concurrency grid misses %q:\n%s", want, out)
 		}
@@ -116,7 +112,7 @@ func TestWriteJSONFile(t *testing.T) {
 	if env.Experiment != "concurrency" || env.GOMAXPROCS <= 0 {
 		t.Fatalf("bad envelope: %+v", env)
 	}
-	if env.Result.Keys != cfg.ConcKeys || len(env.Result.Points) != 8 {
+	if env.Result.Keys != cfg.ConcKeys || len(env.Result.Points) != 4 {
 		t.Fatalf("bad result payload: keys=%d points=%d", env.Result.Keys, len(env.Result.Points))
 	}
 	for _, p := range env.Result.Points {

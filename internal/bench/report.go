@@ -102,46 +102,16 @@ func WriteFigure15(w io.Writer, f Figure15Result) {
 	write("Randomized integer keys", f.Randomized)
 }
 
-// WriteConcurrency renders the arenas × workers × mix grid with the epoch
-// and rwmutex lock modes side by side; the "epoch×" column is the lock-free
-// read path's throughput over the RWMutex baseline for the same cell — the
-// scaling headroom the epoch layer buys.
+// WriteConcurrency renders the arenas × workers × mix grid.
 func WriteConcurrency(w io.Writer, c ConcurrencyResult) {
 	fmt.Fprintf(w, "\n%s\n", c.Title)
-	type cell struct {
-		arenas, workers int
-		mix             string
+	if len(c.Points) > 0 {
+		fmt.Fprintf(w, "  gomaxprocs %d, read lock mode %s\n", c.Points[0].GOMAXPROCS, c.Points[0].LockMode)
 	}
-	byMode := map[string]map[cell]float64{}
-	var order []cell
-	seen := map[cell]bool{}
-	gmp := 0
+	fmt.Fprintf(w, "  %6s %7s %12s %14s\n", "arenas", "workers", "mix", "ops/s")
 	for _, p := range c.Points {
-		k := cell{p.Arenas, p.Workers, p.Mix}
-		if byMode[p.LockMode] == nil {
-			byMode[p.LockMode] = map[cell]float64{}
-		}
-		byMode[p.LockMode][k] = p.OpsPerSec
-		if !seen[k] {
-			seen[k] = true
-			order = append(order, k)
-		}
-		gmp = p.GOMAXPROCS
+		fmt.Fprintf(w, "  %6d %7d %12s %14.0f\n", p.Arenas, p.Workers, p.Mix, p.OpsPerSec)
 	}
-	fmt.Fprintf(w, "  gomaxprocs %d\n", gmp)
-	fmt.Fprintf(w, "  %6s %7s %12s %14s %14s %7s\n",
-		"arenas", "workers", "mix", "epoch ops/s", "rwmutex ops/s", "epoch×")
-	for _, k := range order {
-		e, eok := byMode["epoch"][k]
-		r, rok := byMode["rwmutex"][k]
-		ratio := "-"
-		if eok && rok && r > 0 {
-			ratio = fmt.Sprintf("%.2f", e/r)
-		}
-		fmt.Fprintf(w, "  %6d %7d %12s %14.0f %14.0f %7s\n",
-			k.arenas, k.workers, k.mix, e, r, ratio)
-	}
-	fmt.Fprintf(w, "  (epoch× = the lock-free read path over the RWMutex baseline, same cell)\n")
 }
 
 // WriteLatency renders the per-op latency/allocation profiles. Reading the
@@ -260,14 +230,10 @@ func WriteServer(w io.Writer, s ServerResult) {
 	for _, skip := range s.Skipped {
 		fmt.Fprintf(w, "  (skipped %s)\n", skip)
 	}
-	fmt.Fprintf(w, "  %-6s %-16s %-6s %6s %6s %10s %12s %11s %10s\n",
-		"transp", "engine", "mix", "conns", "depth", "ops", "ops/s", "allocs/op", "speedup")
+	fmt.Fprintf(w, "  %-6s %-16s %-6s %6s %6s %10s %12s %11s\n",
+		"transp", "engine", "mix", "conns", "depth", "ops", "ops/s", "allocs/op")
 	for _, r := range s.Rows {
-		speedup := "-"
-		if r.SpeedupVsFlush > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.SpeedupVsFlush)
-		}
-		fmt.Fprintf(w, "  %-6s %-16s %-6s %6d %6d %10d %12.0f %11.4f %10s\n",
-			r.Transport, r.Engine, r.Mix, r.Conns, r.Depth, r.Ops, r.OpsPerSec, r.AllocsPerOp, speedup)
+		fmt.Fprintf(w, "  %-6s %-16s %-6s %6d %6d %10d %12.0f %11.4f\n",
+			r.Transport, r.Engine, r.Mix, r.Conns, r.Depth, r.Ops, r.OpsPerSec, r.AllocsPerOp)
 	}
 }

@@ -13,16 +13,13 @@ import (
 )
 
 // This file implements the server experiment: end-to-end ops/s and allocs/op
-// of the network front-end, old flush-per-line loop (ServeConnLegacy) vs the
-// pipelined byte-level engine (ServeConn), over a grid of transport ×
-// command mix × connections × pipeline depth. The flush-per-line loop pays
-// one write syscall (or net.Pipe rendezvous) per command and allocates for
-// tokenization and reply formatting on every line; the engine frames and
-// tokenizes in place, defers the flush to the end of each buffered burst, and
-// coalesces GET/PUT runs into the store's batch layer — so the depth axis is
-// where the two separate. On a single-core container the comparison isolates
-// syscall and allocation elimination (no parallelism bonus); every row
-// records GOMAXPROCS so readers can attribute the numbers.
+// of the network front-end (the pipelined byte-level engine, ServeConn) over
+// a grid of transport × command mix × connections × pipeline depth. The
+// engine frames and tokenizes in place, defers the flush to the end of each
+// buffered burst, and coalesces GET/PUT runs into the store's batch layer —
+// so throughput grows along the depth axis. Every row records GOMAXPROCS so
+// readers can attribute the numbers. (The retired comparison against the
+// flush-per-line loop is recorded in DESIGN.md.)
 //
 // The "mixed" mix alternates GET and PUT per line, capping every coalescing
 // run at one op: it isolates what framing + deferred flush buy on their own,
@@ -35,12 +32,13 @@ const (
 	ServerMixMixed = "mixed" // alternating GET/PUT (runs of 1: framing gains only)
 )
 
-// ServerRow is one (transport, engine, mix, conns, depth) measurement.
+// ServerRow is one (transport, mix, conns, depth) measurement.
 type ServerRow struct {
 	// Transport is "pipe" (in-memory net.Pipe, a synchronous rendezvous per
 	// read/write pair) or "tcp" (loopback TCP through the kernel).
 	Transport string `json:"transport"`
-	// Engine is "pipelined" (ServeConn) or "flush-per-line" (ServeConnLegacy).
+	// Engine is always "pipelined" (ServeConn); the column predates the
+	// retirement of the flush-per-line loop and keeps the schema stable.
 	Engine string `json:"engine"`
 	Mix    string `json:"mix"`
 	Conns  int    `json:"conns"`
@@ -55,9 +53,6 @@ type ServerRow struct {
 	// across all goroutines (runtime malloc counters): server framing,
 	// dispatch and reply path plus the allocation-free client harness.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// SpeedupVsFlush compares this pipelined row against the flush-per-line
-	// row of the same (transport, mix, conns, depth) cell.
-	SpeedupVsFlush float64 `json:"speedup_vs_flush,omitempty"`
 }
 
 // ServerResult is the full server experiment.
@@ -149,10 +144,10 @@ func (c *serverClient) exchange() error {
 // depth commands until ~totalOps ops have been served, with GC-stable malloc
 // accounting around the timed phase (one untimed warm-up burst per client
 // lets scratch arenas and read buffers reach steady state first).
-func measureServerRow(transport, engineName string, dial func() (net.Conn, error), mix string, conns, depth, totalOps, keys int) (ServerRow, error) {
+func measureServerRow(transport string, dial func() (net.Conn, error), mix string, conns, depth, totalOps, keys int) (ServerRow, error) {
 	row := ServerRow{
 		Transport:  transport,
-		Engine:     engineName,
+		Engine:     "pipelined",
 		Mix:        mix,
 		Conns:      conns,
 		Depth:      depth,
@@ -221,12 +216,12 @@ func measureServerRow(transport, engineName string, dial func() (net.Conn, error
 	return row, nil
 }
 
-// RunServer measures the transport × engine × mix × conns × depth grid.
+// RunServer measures the transport × mix × conns × depth grid.
 func RunServer(cfg Config) ServerResult {
 	cfg = serverDefaults(cfg)
 	res := ServerResult{
 		ID: "server",
-		Title: fmt.Sprintf("Server: pipelined byte-level engine vs flush-per-line loop (%d preloaded keys, ~%d ops/row)",
+		Title: fmt.Sprintf("Server: pipelined byte-level engine (%d preloaded keys, ~%d ops/row)",
 			cfg.ServerKeys, cfg.ServerOps),
 		Keys: cfg.ServerKeys,
 	}
@@ -234,14 +229,6 @@ func RunServer(cfg Config) ServerResult {
 	pairs := make([]hyperion.Pair, cfg.ServerKeys)
 	for i := range pairs {
 		pairs[i] = hyperion.Pair{Key: serverKey(i), Value: uint64(i % 1000)}
-	}
-
-	engines := []struct {
-		name  string
-		serve func(*server.Server, net.Conn)
-	}{
-		{"flush-per-line", (*server.Server).ServeConnLegacy},
-		{"pipelined", (*server.Server).ServeConn},
 	}
 
 	for _, transport := range []string{"pipe", "tcp"} {
@@ -256,52 +243,43 @@ func RunServer(cfg Config) ServerResult {
 		for _, mix := range []string{ServerMixGet, ServerMixPut, ServerMixMixed} {
 			for _, conns := range cfg.ServerConns {
 				for _, depth := range cfg.ServerDepths {
-					var cell []ServerRow
-					for _, eng := range engines {
-						// A fresh preloaded server per row keeps rows
-						// independent of each other's scratch state.
-						srv := newLoadedServer(pairs)
-						serve := eng.serve
-						var dial func() (net.Conn, error)
-						var cleanup func()
-						if transport == "pipe" {
-							dial = func() (net.Conn, error) {
-								sv, cl := net.Pipe()
-								go serve(srv, sv)
-								return cl, nil
-							}
-							cleanup = func() {}
-						} else {
-							ln, err := net.Listen("tcp", "127.0.0.1:0")
-							if err != nil {
-								panic(fmt.Sprintf("bench: loopback listen vanished mid-run: %v", err))
-							}
-							go func() {
-								for {
-									c, err := ln.Accept()
-									if err != nil {
-										return
-									}
-									go serve(srv, c)
-								}
-							}()
-							dial = func() (net.Conn, error) {
-								return net.Dial("tcp", ln.Addr().String())
-							}
-							cleanup = func() { ln.Close() } //nolint:errsink bench listener teardown
+					// A fresh preloaded server per row keeps rows independent
+					// of each other's scratch state.
+					srv := newLoadedServer(pairs)
+					var dial func() (net.Conn, error)
+					var cleanup func()
+					if transport == "pipe" {
+						dial = func() (net.Conn, error) {
+							sv, cl := net.Pipe()
+							go srv.ServeConn(sv)
+							return cl, nil
 						}
-						row, err := measureServerRow(transport, eng.name, dial, mix, conns, depth, cfg.ServerOps, cfg.ServerKeys)
-						cleanup()
+						cleanup = func() {}
+					} else {
+						ln, err := net.Listen("tcp", "127.0.0.1:0")
 						if err != nil {
-							panic(fmt.Sprintf("bench: server row %s/%s/%s c%d d%d: %v", transport, eng.name, mix, conns, depth, err))
+							panic(fmt.Sprintf("bench: loopback listen vanished mid-run: %v", err))
 						}
-						cell = append(cell, row)
+						go func() {
+							for {
+								c, err := ln.Accept()
+								if err != nil {
+									return
+								}
+								go srv.ServeConn(c)
+							}
+						}()
+						dial = func() (net.Conn, error) {
+							return net.Dial("tcp", ln.Addr().String())
+						}
+						cleanup = func() { ln.Close() } //nolint:errsink bench listener teardown
 					}
-					// cell[0] is flush-per-line, cell[1] pipelined.
-					if cell[0].OpsPerSec > 0 {
-						cell[1].SpeedupVsFlush = cell[1].OpsPerSec / cell[0].OpsPerSec
+					row, err := measureServerRow(transport, dial, mix, conns, depth, cfg.ServerOps, cfg.ServerKeys)
+					cleanup()
+					if err != nil {
+						panic(fmt.Sprintf("bench: server row %s/%s c%d d%d: %v", transport, mix, conns, depth, err))
 					}
-					res.Rows = append(res.Rows, cell...)
+					res.Rows = append(res.Rows, row)
 				}
 			}
 		}

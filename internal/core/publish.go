@@ -18,13 +18,14 @@ package core
 //     chunks are epoch-deferred, so every byte slice a reader reaches is
 //     intact memory;
 //   - the residual failure mode is therefore a Go panic (slice bounds,
-//     dangling-HP) which the wrappers below recover and report as "retry".
+//     dangling-HP) which the reader protocol (hyperion/lockfree.go) recovers
+//     and turns into a retry.
 //
 // The race detector cannot model this protocol: it flags the intentional
 // read/write overlap even though torn results are discarded. Race-enabled
-// builds therefore disable the optimistic path entirely (hyperion's build
-// tags) and fall back to the shard RWMutex; these wrappers themselves stay
-// race-clean because they are only reachable from non-race builds.
+// builds therefore compile the optimistic readers out (hyperion's build
+// tags) and read under the shard RWMutex; the four primitives below are
+// plain atomics and stay race-clean on every build.
 
 // BeginWrite marks the start of a structural mutation: the sequence becomes
 // odd and in-flight optimistic readers will discard their results. Only the
@@ -45,85 +46,3 @@ func (t *Tree) ReadSeq() (seq uint64, stable bool) {
 // SeqValid reports whether the sequence still equals the snapshot taken by
 // ReadSeq, i.e. no mutation started since.
 func (t *Tree) SeqValid(seq uint64) bool { return t.seq.Load() == seq }
-
-// GetOptimistic performs Get without any locking. valid is false when the
-// walk raced a mutation (or started during one) and the result must be
-// discarded; the caller retries or falls back to a locked read. The recover
-// barrier converting a torn walk's panic (bounds check, dangling HP) into
-// valid=false lives directly in this function — one open-coded defer, no
-// extra call layer on the hot read path. The deferred closure consults
-// recover() only while `walking` is still set, i.e. only when Get actually
-// panicked: recover() is a runtime call costing a few ns even with no panic
-// in flight, and this function runs once per point read.
-//
-//hyperion:noalloc
-func (t *Tree) GetOptimistic(key []byte) (value uint64, ok, valid bool) {
-	s0, stable := t.ReadSeq()
-	if !stable {
-		return 0, false, false
-	}
-	walking := true
-	defer func() {
-		if walking && recover() != nil {
-			value, ok, valid = 0, false, false
-		}
-	}()
-	value, ok = t.Get(key)
-	walking = false
-	if !t.SeqValid(s0) {
-		return 0, false, false
-	}
-	return value, ok, true
-}
-
-// HasOptimistic performs Has without any locking; same contract as
-// GetOptimistic.
-//
-//hyperion:noalloc
-func (t *Tree) HasOptimistic(key []byte) (exists, valid bool) {
-	s0, stable := t.ReadSeq()
-	if !stable {
-		return false, false
-	}
-	walking := true
-	defer func() {
-		if walking && recover() != nil {
-			exists, valid = false, false
-		}
-	}()
-	exists = t.Has(key)
-	walking = false
-	if !t.SeqValid(s0) {
-		return false, false
-	}
-	return exists, true
-}
-
-// LenOptimistic reads the key count without locking. The counter is a plain
-// field mutated only inside write brackets, so the seq check makes the
-// snapshot exact.
-func (t *Tree) LenOptimistic() (n int64, valid bool) {
-	s0, stable := t.ReadSeq()
-	if !stable {
-		return 0, false
-	}
-	n = t.stats.Keys
-	if !t.SeqValid(s0) {
-		return 0, false
-	}
-	return n, true
-}
-
-// StatsOptimistic snapshots the structural counters without locking; same
-// contract as LenOptimistic.
-func (t *Tree) StatsOptimistic() (s Stats, valid bool) {
-	s0, stable := t.ReadSeq()
-	if !stable {
-		return Stats{}, false
-	}
-	s = t.stats
-	if !t.SeqValid(s0) {
-		return Stats{}, false
-	}
-	return s, true
-}

@@ -38,9 +38,8 @@ const firstEpoch = 2 * epochStep * 2 // 8
 // different goroutines does not false-share.
 const slotBytes = 64
 
-// Slot is one cache-line-padded reader slot. Point-read hot paths hold a
-// *Slot directly (TryPinRead/Release) instead of a Guard so the pin fast
-// path stays under the inlining budget.
+// Slot is one cache-line-padded reader slot; a Guard points at the one it
+// claimed.
 //
 //hyperion:cacheline 64
 type Slot struct {
@@ -57,9 +56,6 @@ var (
 	_ [slotBytes - unsafe.Sizeof(Slot{})]byte
 	_ [unsafe.Sizeof(Slot{}) - slotBytes]byte
 )
-
-// Release frees a slot claimed by TryPinRead or PinReadSlow.
-func (s *Slot) Release() { s.state.Store(0) }
 
 // Domain is one independent reclamation domain. A store shares a single
 // domain across all shards: pinning is per-goroutine, not per-shard, so one
@@ -105,8 +101,9 @@ type Guard struct {
 // Pin enters the current epoch and returns a guard that holds it open.
 // Memory retired at or after the pinned epoch will not be reclaimed until
 // the guard is released. Pin never blocks and never allocates; the body is
-// the single-CAS fast path (kept small so it inlines into read hot paths),
-// with probing and the overflow fallback in pinSlow.
+// the single-CAS fast path, with probing and the overflow fallback in
+// pinSlow. Callers pin once per write bracket, scan chunk or batched shard
+// group — per-op point reads do not pin at all (hyperion/lockfree.go).
 func (d *Domain) Pin() Guard {
 	var probe byte
 	// Hash the stack address: distinct goroutines have distinct stacks, so
@@ -120,43 +117,6 @@ func (d *Domain) Pin() Guard {
 		return Guard{d: d, s: s, epoch: e}
 	}
 	return d.pinSlow(h)
-}
-
-// TryPinRead is the point-read pin fast path: it claims the hashed slot with
-// one CAS and returns it, or nil when that slot is taken (caller proceeds to
-// PinReadSlow). It is deliberately call-free so it inlines into per-op read
-// paths — the equivalent Pin cannot inline because the inliner charges its
-// pinSlow call at full cost. The returned slot holds the current epoch open
-// exactly like a Guard; release with Slot.Release.
-func (d *Domain) TryPinRead() *Slot {
-	var probe byte
-	h := (uint64(uintptr(unsafe.Pointer(&probe))) >> 10) * 0x9E3779B97F4A7C15
-	s := &d.slots[h&d.mask]
-	e := d.global.Load()
-	if s.state.CompareAndSwap(0, e|1) {
-		return s
-	}
-	return nil
-}
-
-// PinReadSlow probes every slot after a failed TryPinRead. It returns nil
-// when all slots are busy: point readers then simply fall back to the locked
-// read path instead of touching the shared overflow counter, so the pin cost
-// of the common case never includes overflow bookkeeping.
-func (d *Domain) PinReadSlow() *Slot {
-	var probe byte
-	h := (uint64(uintptr(unsafe.Pointer(&probe))) >> 10) * 0x9E3779B97F4A7C15
-	for i := uint64(1); i <= d.mask; i++ {
-		s := &d.slots[(h+i)&d.mask]
-		if s.state.Load() != 0 {
-			continue
-		}
-		e := d.global.Load()
-		if s.state.CompareAndSwap(0, e|1) {
-			return s
-		}
-	}
-	return nil
 }
 
 // pinSlow probes the remaining slots and finally falls back to the shared

@@ -13,11 +13,9 @@ import (
 
 // ServeConnLegacy is the historical flush-per-line protocol loop
 // (bufio.Scanner + strings.Fields + fmt.Fprintf + Flush after every command),
-// kept verbatim modulo the Server receiver. It exists for two reasons: it is
-// the oracle of the pipelined engine's differential test (both loops must
-// produce byte-identical reply streams), and it is the baseline the server
-// bench experiment measures the engine against. New callers should use
-// ServeConn.
+// kept verbatim modulo the Server receiver as the oracle of the pipelined
+// engine's differential test: both loops must produce byte-identical reply
+// streams. It lives in a _test.go file so the shipped package has one loop.
 func (s *Server) ServeConnLegacy(conn net.Conn) {
 	defer conn.Close() //nolint:errsink connection teardown; the peer is gone either way
 	r := bufio.NewScanner(conn)
