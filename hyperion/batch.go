@@ -51,8 +51,20 @@ func (k OpKind) String() string {
 }
 
 // writes reports whether the operation mutates the store.
-func (k OpKind) writes() bool {
-	return k == OpPut || k == OpPutKey || k == OpDelete
+func (k OpKind) writes() bool { return k.walKind() != 0 }
+
+// walKind maps a mutating operation to its WAL record kind (wal.go); reads
+// map to 0, which the log never carries.
+func (k OpKind) walKind() byte {
+	switch k {
+	case OpPut:
+		return walOpPut
+	case OpPutKey:
+		return walOpPutKey
+	case OpDelete:
+		return walOpDelete
+	}
+	return 0
 }
 
 // Op is one operation of a batch.
@@ -97,88 +109,71 @@ func (s *Store) ApplyBatchInto(dst []Result, ops []Op) []Result {
 		return dst[:0]
 	}
 	results := resizeResults(dst, len(ops))
-	// Key pre-processing runs inside the shard critical section, one op at a
-	// time through a per-group stack scratch: a few extra ns under the lock
-	// buy zero per-op heap allocations (the PR 1 design transformed all keys
-	// up front into one slice per batch).
 	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		if s.bulkApplyGroup(sh, ops, nil, results) {
-			return results
-		}
-		write := false
-		for i := range ops {
-			if ops[i].Kind.writes() {
-				write = true
-				break
-			}
-		}
-		if !write {
-			// Read-only batch: lock-free group read (lockfree.go).
-			s.readApplyGroup(sh, ops, nil, results)
-			return results
-		}
-		var scratch [opScratchSize]byte
-		g := s.lockShardWrite(sh)
-		var seq uint64
-		if sh.wal != nil {
-			if seq = s.walEnqueueBatch(sh, ops, nil); seq == 0 && s.walErr.Load() != nil {
-				// Degraded (or closed) log: refuse the writes before they
-				// touch the tree, serve the reads. (seq == 0 with a healthy
-				// log just means the group had no writes to log.)
-				s.degradedApplyGroup(sh, ops, nil, results)
-				s.unlockShardWrite(sh, g)
-				return results
-			}
-		}
-		for i, op := range ops {
-			results[i] = applyOp(sh.tree, op, s.transformAppend(scratch[:0], op.Key))
-		}
-		s.unlockShardWrite(sh, g)
-		if seq != 0 {
-			s.walAwait(sh, seq)
-		}
+		s.applyGroup(s.shards[0], ops, nil, results)
 		return results
-	}
-	anyWrites := func(opIdx []int32) bool {
-		for _, i := range opIdx {
-			if ops[i].Kind.writes() {
-				return true
-			}
-		}
-		return false
 	}
 	g := s.groupByShard(len(ops), func(i int) int { return s.arenaIndex(ops[i].Key) })
 	s.runGroups(g, func(shardID int, opIdx []int32) {
-		sh := s.shards[shardID]
-		if s.bulkApplyGroup(sh, ops, opIdx, results) {
-			return
-		}
-		if !anyWrites(opIdx) {
-			s.readApplyGroup(sh, ops, opIdx, results)
-			return
-		}
-		var scratch [opScratchSize]byte
-		wg := s.lockShardWrite(sh)
-		var seq uint64
-		if sh.wal != nil {
-			if seq = s.walEnqueueBatch(sh, ops, opIdx); seq == 0 && s.walErr.Load() != nil {
-				s.degradedApplyGroup(sh, ops, opIdx, results)
-				s.unlockShardWrite(sh, wg)
-				return
-			}
-		}
-		for _, i := range opIdx {
-			results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
-		}
-		s.unlockShardWrite(sh, wg)
-		if seq != 0 {
-			// Waiting inside the group fn keeps the per-shard fsyncs of one
-			// batch overlapped across the worker pool.
-			s.walAwait(sh, seq)
-		}
+		// The durability wait happens inside the group (shardWrite), which
+		// keeps the per-shard fsyncs of one batch overlapped across the pool.
+		s.applyGroup(s.shards[shardID], ops, opIdx, results)
 	})
 	return results
+}
+
+// groupLen is the size of the shard group opIdx selects out of a batch of n
+// operations; a nil opIdx is the whole batch in order.
+func groupLen(n int, opIdx []int32) int {
+	if opIdx == nil {
+		return n
+	}
+	return len(opIdx)
+}
+
+// groupAt is the batch index of a shard group's k-th operation.
+func groupAt(opIdx []int32, k int) int {
+	if opIdx == nil {
+		return k
+	}
+	return int(opIdx[k])
+}
+
+// applyGroup executes one shard group of an ApplyBatch (opIdx nil = the
+// whole batch) and fills its results: a large sorted all-Put run goes through
+// the bulk-ingestion path, a read-only group through the lock-free group
+// read, anything else through one shardWrite with the group's writes logged
+// as a single record. If the log refuses the record (covered == 0) the writes
+// get the zero Result before touching the tree and the reads are still
+// served. Key pre-processing runs inside the critical section, one op at a
+// time through a stack scratch: a few extra ns under the lock buy zero per-op
+// heap allocations.
+func (s *Store) applyGroup(sh *shard, ops []Op, opIdx []int32, results []Result) {
+	if s.bulkApplyGroup(sh, ops, opIdx, results) {
+		return
+	}
+	n := groupLen(len(ops), opIdx)
+	write := false
+	for k := 0; k < n && !write; k++ {
+		write = ops[groupAt(opIdx, k)].Kind.writes()
+	}
+	if !write {
+		s.readApplyGroup(sh, ops, opIdx, results)
+		return
+	}
+	s.shardWrite(sh, n,
+		func() (uint64, int) { return s.walEnqueueBatch(sh, ops, opIdx) },
+		func(covered int) {
+			var scratch [opScratchSize]byte
+			for k := 0; k < n; k++ {
+				i := groupAt(opIdx, k)
+				if covered == 0 && ops[i].Kind.writes() {
+					results[i] = Result{}
+					continue
+				}
+				results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
+			}
+		})
 }
 
 // GetBatch looks up every key and returns one Result per key, in input
@@ -222,25 +217,16 @@ const bulkDivertMinRun = 128
 // batch) is a strictly increasing all-Put run of non-empty keys — the shape
 // the bulk-ingestion fast path accepts.
 func bulkDivertible(ops []Op, opIdx []int32) bool {
-	n := len(opIdx)
-	if opIdx == nil {
-		n = len(ops)
-	}
+	n := groupLen(len(ops), opIdx)
 	if n < bulkDivertMinRun {
 		return false
 	}
-	at := func(k int) *Op {
-		if opIdx == nil {
-			return &ops[k]
-		}
-		return &ops[opIdx[k]]
-	}
-	prev := at(0)
+	prev := &ops[groupAt(opIdx, 0)]
 	if prev.Kind != OpPut || len(prev.Key) == 0 {
 		return false
 	}
 	for k := 1; k < n; k++ {
-		op := at(k)
+		op := &ops[groupAt(opIdx, k)]
 		if op.Kind != OpPut || len(op.Key) == 0 {
 			return false
 		}
@@ -253,52 +239,25 @@ func bulkDivertible(ops []Op, opIdx []int32) bool {
 }
 
 // bulkApplyGroup diverts one shard group through the bulk-ingestion path
-// when it is a large sorted all-Put run. It fills the group's results and
-// reports whether it handled the group.
+// when it is a large sorted all-Put run. It fills the group's results — the
+// prefix the run writer landed is Ok, a refused rest gets the zero Result —
+// and reports whether it handled the group.
 func (s *Store) bulkApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Result) bool {
 	if !bulkDivertible(ops, opIdx) {
 		return false
 	}
-	n := len(opIdx)
-	if opIdx == nil {
-		n = len(ops)
+	pairs := make([]Pair, groupLen(len(ops), opIdx))
+	for k := range pairs {
+		op := &ops[groupAt(opIdx, k)]
+		pairs[k] = Pair{Key: op.Key, Value: op.Value}
 	}
-	pairs := make([]Pair, n)
-	for k := 0; k < n; k++ {
-		i := k
-		if opIdx != nil {
-			i = int(opIdx[k])
-		}
-		pairs[k] = Pair{Key: ops[i].Key, Value: ops[i].Value}
-	}
-	tkeys, vals, ok := s.transformRun(pairs)
-	if !ok {
-		return false
-	}
-	g := s.lockShardWrite(sh)
-	var seq uint64
-	covered := n
-	if sh.wal != nil {
-		// A mid-run log failure leaves the already-enqueued prefix in the
-		// log, so exactly that prefix is applied to the tree (memory must
-		// equal what the log replays); the rest of the run is refused.
-		seq, covered = s.walEnqueuePairs(sh, pairs)
-	}
-	sh.tree.BulkLoad(tkeys[:covered], vals[:covered])
-	s.unlockShardWrite(sh, g)
-	if seq != 0 {
-		s.walAwait(sh, seq)
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if opIdx != nil {
-			i = int(opIdx[k])
-		}
+	covered := s.writeRun(sh, pairs)
+	for k := range pairs {
+		r := Result{}
 		if k < covered {
-			results[i] = Result{Value: ops[i].Value, Ok: true}
-		} else {
-			results[i] = Result{}
+			r = Result{Value: pairs[k].Value, Ok: true}
 		}
+		results[groupAt(opIdx, k)] = r
 	}
 	return true
 }
@@ -313,10 +272,11 @@ func resizeResults(dst []Result, n int) []Result {
 	return make([]Result, n)
 }
 
-// applyOp executes one operation against a shard tree. The caller holds the
-// appropriate shard lock; k is the already-transformed key.
+// applyOp executes one operation against a shard tree; k is the
+// already-transformed key. The mutating kinds are reached only from shardWrite
+// bodies (writeOp, applyGroup), the reading kinds also from shardRead bodies.
 //
-//nolint:seqlockpair every caller opened the shard write bracket before dispatching here
+//nolint:seqlockpair the mutating arms run only inside shardWrite bodies, which hold the bracket open
 func applyOp(t *core.Tree, op Op, k []byte) Result {
 	switch op.Kind {
 	case OpPut:
@@ -334,29 +294,6 @@ func applyOp(t *core.Tree, op Op, k []byte) Result {
 		return Result{Ok: t.Delete(k)}
 	}
 	return Result{}
-}
-
-// degradedApplyGroup serves one shard group while the WAL cannot log: reads
-// execute normally, writes are refused with a zero Result (Ok=false) before
-// touching the tree — the fail-fast contract of degraded mode. The caller
-// holds the shard write lock.
-func (s *Store) degradedApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Result) {
-	var scratch [opScratchSize]byte
-	n := len(opIdx)
-	if opIdx == nil {
-		n = len(ops)
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if opIdx != nil {
-			i = int(opIdx[k])
-		}
-		if ops[i].Kind.writes() {
-			results[i] = Result{}
-			continue
-		}
-		results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
-	}
 }
 
 // batchGroups is a stable counting-sort of batch indices by destination
@@ -407,9 +344,14 @@ func (s *Store) runGroups(g batchGroups, fn func(shardID int, opIdx []int32)) {
 	})
 }
 
-// runIndexed runs run(0..n-1), concurrently on up to Workers() goroutines,
-// handing indices out in ascending order via an atomic counter. It is the
-// shared dispatch scaffolding of runGroups and BulkLoad's per-arena loads.
+// runIndexed runs run(0..n-1), concurrently on up to Workers() goroutines —
+// the caller's plus Workers()-1 spawned ones — handing indices out in
+// ascending order via an atomic counter. It is the shared dispatch
+// scaffolding of runGroups, Clear and BulkLoad's per-arena loads. The caller
+// works instead of idling in Wait because a fresh goroutine starts on a
+// minimal stack and the write path under run is deep: a spawned worker pays
+// for growing (copying) its stack in the middle of a trie edit on every
+// batch, the caller's stack is already grown.
 func (s *Store) runIndexed(n int, run func(i int)) {
 	workers := min(s.workers, n)
 	if workers <= 1 {
@@ -419,20 +361,24 @@ func (s *Store) runIndexed(n int, run func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			run(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				run(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 

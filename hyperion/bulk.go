@@ -75,7 +75,7 @@ func (s *Store) BulkLoad(pairs []Pair) {
 		}
 	}
 	if len(s.shards) == 1 {
-		s.bulkLoadShard(s.shards[0], pairs)
+		s.writeRun(s.shards[0], pairs)
 		return
 	}
 	// Arena sub-runs are contiguous: routing is by leading byte and the run
@@ -92,47 +92,34 @@ func (s *Store) BulkLoad(pairs []Pair) {
 	spans = append(spans, span{cur, lo, len(pairs)})
 	s.runIndexed(len(spans), func(i int) {
 		sp := spans[i]
-		s.bulkLoadShard(s.shards[sp.shard], pairs[sp.lo:sp.hi])
+		s.writeRun(s.shards[sp.shard], pairs[sp.lo:sp.hi])
 	})
 }
 
-// bulkLoadShard ingests one arena's contiguous sorted sub-run under a single
-// write lock.
-func (s *Store) bulkLoadShard(sh *shard, pairs []Pair) {
-	tkeys, vals, ok := s.transformRun(pairs)
-	if !ok {
-		// Pre-processing broke the order (documented only across the
-		// <4-byte / ≥4-byte key-length boundary): per-key fallback.
-		g := s.lockShardWrite(sh)
-		var seq uint64
-		covered := len(pairs)
-		if sh.wal != nil {
-			// Only the prefix the log actually holds may be applied: a
-			// mid-run failure must not let memory run ahead of the replayable
-			// log (see walEnqueuePairs).
-			seq, covered = s.walEnqueuePairs(sh, pairs)
-		}
-		var scratch [opScratchSize]byte
-		for _, p := range pairs[:covered] {
-			sh.tree.Put(s.transformAppend(scratch[:0], p.Key), p.Value)
-		}
-		s.unlockShardWrite(sh, g)
-		if seq != 0 {
-			s.walAwait(sh, seq)
-		}
-		return
-	}
-	g := s.lockShardWrite(sh)
-	var seq uint64
-	covered := len(pairs)
-	if sh.wal != nil {
-		seq, covered = s.walEnqueuePairs(sh, pairs)
-	}
-	sh.tree.BulkLoad(tkeys[:covered], vals[:covered])
-	s.unlockShardWrite(sh, g)
-	if seq != 0 {
-		s.walAwait(sh, seq)
-	}
+// writeRun is the one run writer behind BulkLoad's per-arena loads and
+// ApplyBatch's diverted groups: it ingests one arena's strictly increasing
+// run through a single shardWrite and returns how many pairs landed. The log
+// takes the run in chunks (walEnqueuePairs), so a mid-run log failure leaves
+// exactly the already-enqueued prefix in the log and exactly that prefix is
+// applied; short of a failure covered is len(pairs).
+func (s *Store) writeRun(sh *shard, pairs []Pair) (covered int) {
+	tkeys, vals, ordered := s.transformRun(pairs)
+	s.shardWrite(sh, len(pairs),
+		func() (uint64, int) { return s.walEnqueuePairs(sh, pairs) },
+		func(c int) {
+			covered = c
+			if ordered {
+				sh.tree.BulkLoad(tkeys[:c], vals[:c])
+				return
+			}
+			// Pre-processing broke the order (documented only across the
+			// <4-byte / ≥4-byte key-length boundary): per-key fallback.
+			var scratch [opScratchSize]byte
+			for _, p := range pairs[:c] {
+				sh.tree.Put(s.transformAppend(scratch[:0], p.Key), p.Value)
+			}
+		})
+	return covered
 }
 
 // transformRun builds the stored-form key and value slices of a run. With

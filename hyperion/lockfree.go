@@ -1,16 +1,18 @@
 package hyperion
 
-// Lock-free read path (epoch + seqlock). This file concentrates the whole
-// protocol so every call site in store.go / batch.go / scan.go / stats.go
-// stays a one-liner:
+// The two concurrency protocols of the store, each written once: shardWrite
+// for everything that mutates an arena, shardRead for everything that reads
+// one. Every call site in store.go / batch.go / bulk.go / scan.go / stats.go /
+// wal.go is a body passed to one of them.
 //
-//   - Writers serialise per shard on sh.mu as before, but additionally
-//     bracket the mutation between lockShardWrite and unlockShardWrite:
-//     they pin the epoch domain (so frees they retire are tagged with a
-//     still-open epoch), flip the tree's seqlock odd, mutate, drain any
-//     safely-retired memory, flip the seqlock even, unpin, and nudge the
-//     global epoch forward. The bracket is all atomics under the write lock,
-//     so it runs on every build, race detector included.
+//   - Writers serialise per shard on sh.mu and run inside shardWrite, which
+//     owns the whole sequence: lock, pin the epoch domain (so frees the edit
+//     retires are tagged with a still-open epoch), flip the tree's seqlock
+//     odd, enqueue to the write-ahead log, apply exactly what the log took,
+//     drain any safely-retired memory, flip the seqlock even, unpin, nudge the
+//     global epoch forward, unlock — and only then wait for the fsync. The
+//     bracket is all atomics under the write lock, so it runs on every build,
+//     race detector included.
 //
 //   - Readers run walks optimistically and validate the tree's seqlock
 //     afterwards. A reader that raced a mutation discards the result,
@@ -21,7 +23,7 @@ package hyperion
 //     batched shard groups) additionally pin the epoch domain, which
 //     guarantees that no memory they could have observed is recycled until
 //     they unpin; short reads take no pin at all (see the comment above
-//     shardGet) and lean on the same epoch machinery indirectly — the
+//     shardFind) and lean on the same epoch machinery indirectly — the
 //     write-side grace period is what keeps a concurrently-retired chunk's
 //     bytes intact long enough that validation, not memory safety, is the
 //     only concern.
@@ -66,29 +68,42 @@ func (s *Store) ReadLockMode() string {
 	return "rwmutex"
 }
 
-// lockShardWrite acquires sh's write lock and opens the publication bracket.
-// Every tree mutation in the package goes through this pair; the returned
-// guard must be handed back to unlockShardWrite.
+// shardWrite is the writer protocol, written once; shardRead's twin. A write
+// of n operations to sh is two bodies: log enqueues them to sh's write-ahead
+// log and reports the last record's sequence plus how many of the n the log
+// now holds (0 or 1 for a single op, 0 or n for a batch group, any prefix for
+// a chunked bulk run); apply mutates the tree for exactly that prefix. This
+// is where the fail-fast rule lives: memory never runs ahead of what the log
+// can replay, so a degraded or closed log (covered == 0) leaves the tree
+// untouched and a log that fails mid-run lands exactly the enqueued prefix.
+// A store without a WAL never calls log and applies all n.
 //
-//hyperion:bracket shardwrite-begin
-func (s *Store) lockShardWrite(sh *shard) epoch.Guard {
+// Both bodies run under the shard write lock inside the publication bracket:
+// the epoch domain is pinned so frees retired by the edit carry a still-open
+// epoch, and the tree's seqlock is odd so optimistic readers discard what
+// they see. Enqueueing under the lock makes the per-key log order the apply
+// order. Closing the bracket drains retired memory whose epoch is already
+// quiescent (inside the seqlock bracket, so optimistic stats readers never
+// observe a half-drained allocator), publishes the tree, releases the pin and
+// tries to move the global epoch forward so the next writer can drain what
+// this one retired. The durability wait (SyncAlways blocks until the record
+// is fsynced) happens after the lock is dropped, so writers across shards —
+// and writers of the same shard accumulated during an in-flight fsync — share
+// group commits.
+//
+// No defer: a panicking body is a bug, and it leaves the shard locked. The
+// bodies do not escape, so closures passed here are not heap-allocated.
+func (s *Store) shardWrite(sh *shard, n int, log func() (seq uint64, covered int), apply func(covered int)) {
 	sh.mu.Lock()
 	g := s.epochs.Pin()
-	sh.tree.Allocator().SetRetireEpoch(g.Epoch())
-	sh.tree.BeginWrite()
-	return g
-}
-
-// unlockShardWrite closes the bracket opened by lockShardWrite: drain any
-// retired memory whose epoch is already quiescent (inside the seqlock
-// bracket, so optimistic stats readers never observe a half-drained
-// allocator), publish the new tree state, release the pin and try to move
-// the global epoch forward so the next writer can drain what this one
-// retired.
-//
-//hyperion:bracket shardwrite-end
-func (s *Store) unlockShardWrite(sh *shard, g epoch.Guard) {
 	a := sh.tree.Allocator()
+	a.SetRetireEpoch(g.Epoch())
+	sh.tree.BeginWrite()
+	var seq uint64
+	if sh.wal != nil {
+		seq, n = log()
+	}
+	apply(n)
 	if a.RetiredCount() > 0 {
 		a.DrainRetired(s.epochs.SafeEpoch())
 	}
@@ -98,6 +113,11 @@ func (s *Store) unlockShardWrite(sh *shard, g epoch.Guard) {
 		s.epochs.TryAdvance()
 	}
 	sh.mu.Unlock()
+	if seq != 0 {
+		if err := sh.wal.Commit(seq); err != nil {
+			s.noteWALErr(err)
+		}
+	}
 }
 
 // shardRead is the reader protocol, written once. body reads sh's tree and
@@ -152,9 +172,9 @@ func (s *Store) shardRead(sh *shard, pin bool, body func(optimistic bool)) {
 	body(false)
 }
 
-// Point reads (shardGet/shardHas, and the pin=false bodies below) run
-// optimistically WITHOUT claiming a reader slot. They stay safe without the
-// pin because their exposure window is a single bounded walk:
+// Point reads (shardFind, and the pin=false bodies below) run optimistically
+// WITHOUT claiming a reader slot. They stay safe without the pin because
+// their exposure window is a single bounded walk:
 //
 //   - the walk terminates regardless of what it reads (descent length is
 //     bounded by the key, in-container scans always advance, cursor depth is
@@ -172,21 +192,22 @@ func (s *Store) shardRead(sh *shard, pin bool, body func(optimistic bool)) {
 // (or fill caller-visible result slices) across a much longer window, and
 // one slot CAS amortised over a chunk or a shard group is free.
 
-// shardGet is Store.Get's per-shard read: optimistic first, locked fallback.
-// It and shardHas are the two readers that do not go through shardRead: the
-// protocol is open-coded because a closure call plus a second frame is a
-// measurable slice of a sub-microsecond walk. The one armed defer doubles as
-// the panic fallback — a torn walk that panics is recovered and redone under
-// the read lock, so the function still returns a correct result.
+// shardFind is the per-shard point read behind Store.Get and Store.Has:
+// optimistic first, locked fallback. It is the one reader that does not go
+// through shardRead: the protocol is open-coded because a closure call plus a
+// second frame is a measurable slice of a sub-microsecond walk. The one armed
+// defer doubles as the panic fallback — a torn walk that panics is recovered
+// and redone under the read lock, so the function still returns a correct
+// result.
 //
 //hyperion:noalloc
-func (s *Store) shardGet(sh *shard, k []byte) (value uint64, ok bool) {
+func (s *Store) shardFind(sh *shard, k []byte) (value uint64, hasValue, exists bool) {
 	if lockFreeBuild {
 		walking := false
 		defer func() {
 			if walking && recover() != nil {
 				sh.mu.RLock()
-				value, ok = sh.tree.Get(k)
+				value, hasValue, exists = sh.tree.Find(k)
 				sh.mu.RUnlock()
 			}
 		}()
@@ -196,50 +217,17 @@ func (s *Store) shardGet(sh *shard, k []byte) (value uint64, ok bool) {
 				continue
 			}
 			walking = true
-			v, vok := sh.tree.Get(k)
+			v, hv, ex := sh.tree.Find(k)
 			walking = false
 			if sh.tree.SeqValid(s0) {
-				return v, vok
+				return v, hv, ex
 			}
 		}
 	}
 	sh.mu.RLock()
-	value, ok = sh.tree.Get(k)
+	value, hasValue, exists = sh.tree.Find(k)
 	sh.mu.RUnlock()
-	return value, ok
-}
-
-// shardHas is Store.Has's per-shard read; same open-coded protocol as
-// shardGet.
-//
-//hyperion:noalloc
-func (s *Store) shardHas(sh *shard, k []byte) (ok bool) {
-	if lockFreeBuild {
-		walking := false
-		defer func() {
-			if walking && recover() != nil {
-				sh.mu.RLock()
-				ok = sh.tree.Has(k)
-				sh.mu.RUnlock()
-			}
-		}()
-		for t := 0; t < readTries; t++ {
-			s0, stable := sh.tree.ReadSeq()
-			if !stable {
-				continue
-			}
-			walking = true
-			v := sh.tree.Has(k)
-			walking = false
-			if sh.tree.SeqValid(s0) {
-				return v
-			}
-		}
-	}
-	sh.mu.RLock()
-	ok = sh.tree.Has(k)
-	sh.mu.RUnlock()
-	return ok
+	return value, hasValue, exists
 }
 
 // shardLen reads one shard's key count.

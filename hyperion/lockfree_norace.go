@@ -3,6 +3,6 @@
 package hyperion
 
 // lockFreeBuild enables the optimistic half of the reader protocol
-// (shardRead, shardGet, shardHas). Race-enabled builds compile it out — see
+// (shardRead, shardFind). Race-enabled builds compile it out — see
 // lockfree_race.go.
 const lockFreeBuild = true

@@ -11,12 +11,17 @@ package hyperion
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // stressKey derives a unique 8-byte key whose leading byte is uniformly
@@ -478,7 +483,7 @@ func TestShardReadUnderWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s.unlockShardWrite(sh, s.lockShardWrite(sh))
+			s.shardWrite(sh, 0, nil, func(int) {})
 		}
 	}()
 	for i := 0; i < 2000; i++ {
@@ -558,5 +563,297 @@ func TestShardReadLockedPanicPropagates(t *testing.T) {
 	sh.mu.Unlock()
 	if !epochAdvances(s) {
 		t.Fatal("epoch cannot advance after the panic propagated: pin leaked")
+	}
+}
+
+// openFaulty opens a SyncAlways WAL store in a fresh directory whose segment
+// files run through in (and through wrap, when non-nil), with the smallest
+// retry budget so a persistent fault turns sticky at once.
+func openFaulty(t *testing.T, in *fault.Injector, arenas int, wrap func(WALFile) WALFile) (*Store, string) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := walOptions(dir, arenas, SyncAlways)
+	opts.WALRetryMax = 1
+	opts.WALRetryBackoff = time.Millisecond
+	opts.WALOpenFile = func(path string) (WALFile, error) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if wrap != nil {
+			return wrap(in.Wrap(f)), nil
+		}
+		return in.Wrap(f), nil
+	}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { s.Close() }) //nolint:errsink double-close guard; tests that care close explicitly
+	return s, dir
+}
+
+// degrade makes s's log fail persistently and spends one Put discovering it
+// (that write is the documented ambiguity: applied and stashed).
+func degrade(t *testing.T, s *Store, in *fault.Injector) {
+	t.Helper()
+	in.FailWrites(-1, fault.ENOSPC())
+	s.Put([]byte("discovery"), 1)
+	if err := s.WALError(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("WALError after fault = %v, want ErrDegraded", err)
+	}
+}
+
+// dump returns the store's content.
+func dump(s *Store) map[string]uint64 {
+	m := map[string]uint64{}
+	s.Range(nil, func(key []byte, value uint64) bool {
+		m[string(key)] = value
+		return true
+	})
+	return m
+}
+
+// checkShardIdle asserts what every shardWrite must leave behind: the tree
+// published (even sequence) and the shard lock free.
+func checkShardIdle(t *testing.T, sh *shard) {
+	t.Helper()
+	if _, stable := sh.tree.ReadSeq(); !stable {
+		t.Fatal("tree sequence is odd after shardWrite returned")
+	}
+	if !sh.mu.TryLock() {
+		t.Fatal("shard lock still held after shardWrite returned")
+	}
+	sh.mu.Unlock()
+}
+
+// TestShardWriteCovered pins the covered contract on healthy stores: without
+// a WAL log is never called and apply gets all n; with one, apply gets what
+// log reports, and a group with nothing to log is covered, not refused.
+func TestShardWriteCovered(t *testing.T) {
+	mem := New(DefaultOptions())
+	got := -1
+	mem.shardWrite(mem.shards[0], 7,
+		func() (uint64, int) { t.Fatal("log called on a store without a WAL"); return 0, 0 },
+		func(covered int) { got = covered })
+	if got != 7 {
+		t.Fatalf("WAL-less apply saw covered = %d, want 7", got)
+	}
+	checkShardIdle(t, mem.shards[0])
+
+	var in fault.Injector
+	s, _ := openFaulty(t, &in, 1, nil)
+	sh := s.shards[0]
+	reads := []Op{{Kind: OpGet, Key: []byte("a")}, {Kind: OpHas, Key: []byte("b")}}
+	s.shardWrite(sh, len(reads),
+		func() (uint64, int) { return s.walEnqueueBatch(sh, reads, nil) },
+		func(covered int) { got = covered })
+	if got != len(reads) {
+		t.Fatalf("nothing-to-log group saw covered = %d, want %d", got, len(reads))
+	}
+	s.shardWrite(sh, 1,
+		func() (uint64, int) { return s.walEnqueueOp(sh, walOpPut, []byte("a"), 1) },
+		func(covered int) { got = covered })
+	if got != 1 || s.WALError() != nil {
+		t.Fatalf("healthy single op: covered = %d, WALError = %v", got, s.WALError())
+	}
+	checkShardIdle(t, sh)
+}
+
+// TestShardWriteRefusedLog: once the log refuses records, apply sees
+// covered == 0 and every writer of the package — each a body passed to
+// shardWrite — leaves the tree and Len() exactly as they were.
+func TestShardWriteRefusedLog(t *testing.T) {
+	var in fault.Injector
+	s, _ := openFaulty(t, &in, 1, nil)
+	sh := s.shards[0]
+	s.Put([]byte("keep"), 42)
+	degrade(t, s, &in)
+	before, beforeLen := dump(s), s.Len()
+
+	got := -1
+	s.shardWrite(sh, 1,
+		func() (uint64, int) { return s.walEnqueueOp(sh, walOpPut, []byte("x"), 1) },
+		func(covered int) { got = covered })
+	if got != 0 {
+		t.Fatalf("apply saw covered = %d on a refusing log, want 0", got)
+	}
+	checkShardIdle(t, sh)
+
+	run := make([]Pair, 2*bulkDivertMinRun)
+	ops := make([]Op, len(run))
+	for i := range run {
+		run[i] = Pair{Key: []byte(fmt.Sprintf("run-%04d", i)), Value: uint64(i)}
+		ops[i] = Op{Kind: OpPut, Key: run[i].Key, Value: run[i].Value}
+	}
+	s.Put([]byte("x"), 1)
+	s.PutKey([]byte("y"))
+	if s.Delete([]byte("keep")) {
+		t.Fatal("refused Delete reported success")
+	}
+	s.BulkLoad(run)
+	for i, r := range s.ApplyBatch(ops) { // diverted to the run writer
+		if r.Ok {
+			t.Fatalf("refused diverted batch op %d acknowledged", i)
+		}
+	}
+	s.Clear()
+	checkShardIdle(t, sh)
+	if s.Len() != beforeLen {
+		t.Fatalf("Len = %d after refused writes, want %d", s.Len(), beforeLen)
+	}
+	if after := dump(s); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused writes reached memory: %v, want %v", after, before)
+	}
+}
+
+// TestShardWriteBulkPrefix: a bulk run whose log fails after its first chunks
+// lands exactly the enqueued prefix, and what a restart recovers from the
+// directory is what memory holds. The failure is sequenced from inside the
+// log body (enqueue k pairs, turn the log sticky, offer the rest), because
+// nothing outside the shard lock can step between two chunks of one run.
+func TestShardWriteBulkPrefix(t *testing.T) {
+	var in fault.Injector
+	s, dir := openFaulty(t, &in, 1, nil)
+	sh := s.shards[0]
+	const n, k = 3000, 1000
+	pairs := make([]Pair, n)
+	tkeys, vals := make([][]byte, n), make([]uint64, n)
+	for i := range pairs {
+		pairs[i] = Pair{Key: []byte(fmt.Sprintf("run-%05d", i)), Value: uint64(i)}
+		tkeys[i], vals[i] = pairs[i].Key, pairs[i].Value
+	}
+	got := -1
+	s.shardWrite(sh, n,
+		func() (uint64, int) {
+			seq, covered := s.walEnqueuePairs(sh, pairs[:k])
+			in.FailWrites(-1, fault.ENOSPC())
+			for sh.wal.Err() == nil { // the committer trips over the chunk just enqueued
+				time.Sleep(time.Millisecond)
+			}
+			_, rest := s.walEnqueuePairs(sh, pairs[k:])
+			return seq, covered + rest
+		},
+		func(covered int) {
+			got = covered
+			sh.tree.BulkLoad(tkeys[:covered], vals[:covered])
+		})
+	if got != k || s.Len() != k {
+		t.Fatalf("covered = %d, Len = %d, want the enqueued prefix %d", got, s.Len(), k)
+	}
+	if !errors.Is(s.WALError(), ErrDegraded) {
+		t.Fatalf("WALError = %v, want ErrDegraded", s.WALError())
+	}
+	checkShardIdle(t, sh)
+
+	in.Heal()
+	if err := s.Rearm(); err != nil {
+		t.Fatalf("Rearm: %v", err)
+	}
+	inMemory := dump(s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	re, err := Open(walOptions(dir, 1, SyncAlways))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close() //nolint:errsink read-only verification store
+	if recovered := dump(re); len(recovered) != k || fmt.Sprint(recovered) != fmt.Sprint(inMemory) {
+		t.Fatalf("recovered %d keys, memory holds %d: the log and the tree diverged", len(recovered), len(inMemory))
+	}
+}
+
+// ioGate parks one caller of park — the first after armed is set — until
+// release is closed, and says so on entered: the seam tests use to hold a
+// committer inside a file operation and look at the store meanwhile.
+type ioGate struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newIOGate() *ioGate {
+	return &ioGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *ioGate) park() {
+	if g.armed.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+}
+
+// gatedSyncFile runs every Sync through an ioGate.
+type gatedSyncFile struct {
+	WALFile
+	gate *ioGate
+}
+
+func (f gatedSyncFile) Sync() error {
+	f.gate.park()
+	return f.WALFile.Sync()
+}
+
+// TestShardWriteAwaitsOutsideLock: the durability wait happens after the
+// shard lock is dropped — while one writer waits on its fsync, a second
+// writer to the same shard takes the lock, enqueues and applies.
+func TestShardWriteAwaitsOutsideLock(t *testing.T) {
+	var in fault.Injector
+	gate := newIOGate()
+	s, _ := openFaulty(t, &in, 1, func(f WALFile) WALFile { return gatedSyncFile{f, gate} })
+	sh := s.shards[0]
+	gate.armed.Store(true)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); s.Put([]byte("first"), 1) }()
+	<-gate.entered // the first writer's record is in Sync; its Put has not returned
+	checkShardIdle(t, sh)
+	go func() { defer wg.Done(); s.Put([]byte("second"), 2) }()
+	for !s.Has([]byte("second")) { // applied ⇒ it held the lock and enqueued
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	wg.Wait()
+	if err := s.WALError(); err != nil {
+		t.Fatalf("WALError = %v after both fsyncs completed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestShardWriteDegradedGroup: a mixed batch group on a refusing log serves
+// its reads and zero-Results its writes — through the one group function,
+// whether the batch is the single-shard whole or a runGroups slice.
+func TestShardWriteDegradedGroup(t *testing.T) {
+	for _, arenas := range []int{1, 4} {
+		var in fault.Injector
+		s, _ := openFaulty(t, &in, arenas, nil)
+		s.Put([]byte("k1"), 11)
+		s.PutKey([]byte("k2"))
+		degrade(t, s, &in)
+		beforeLen := s.Len()
+		res := s.ApplyBatch([]Op{
+			{Kind: OpGet, Key: []byte("k1")},
+			{Kind: OpPut, Key: []byte("k9"), Value: 9},
+			{Kind: OpHas, Key: []byte("k2")},
+			{Kind: OpDelete, Key: []byte("k1")},
+			{Kind: OpPutKey, Key: []byte("k8")},
+			{Kind: OpGet, Key: []byte("k9")},
+		})
+		want := []Result{{Value: 11, Ok: true}, {}, {Ok: true}, {}, {}, {}}
+		for i := range want {
+			if res[i] != want[i] {
+				t.Fatalf("arenas=%d: result %d = %+v, want %+v", arenas, i, res[i], want[i])
+			}
+		}
+		if !s.Has([]byte("k1")) || s.Has([]byte("k9")) || s.Has([]byte("k8")) || s.Len() != beforeLen {
+			t.Fatalf("arenas=%d: refused group writes reached memory", arenas)
+		}
+		for _, sh := range s.shards {
+			checkShardIdle(t, sh)
+		}
 	}
 }

@@ -32,15 +32,20 @@ type Store struct {
 
 	// Durability state (wal.go): walErr is the sticky first WAL failure
 	// (while set and the store is open, writes are rejected — degraded
-	// read-only mode), closed flips once in Close. rearmMu serialises Rearm
-	// attempts, rearms counts successful ones, and autoRearmStop (non-nil
-	// only with Options.WALAutoRearm) stops the background probe. All stay
-	// cold on stores without a WAL.
+	// read-only mode). closed flips once, in Close; closeOnce makes Close
+	// run once and closeErr is the result it hands every caller. rearmMu
+	// serialises Rearm and Checkpoint with each other and with Close, rearms
+	// counts successful Rearms, and autoRearmStop/autoRearmDone (non-nil
+	// only with Options.WALAutoRearm) stop and join the background probe.
+	// All stay cold on stores without a WAL.
 	walErr        atomic.Pointer[error]
 	closed        atomic.Bool
+	closeOnce     sync.Once
+	closeErr      error
 	rearmMu       sync.Mutex
 	rearms        atomic.Uint64
 	autoRearmStop chan struct{}
+	autoRearmDone chan struct{}
 }
 
 // New creates an empty store.
@@ -70,57 +75,47 @@ func New(opts Options) *Store {
 // transformed key is built in a fixed stack scratch, so steady-state Put
 // performs no heap allocation.
 func (s *Store) Put(key []byte, value uint64) {
-	sh := s.shardFor(key)
-	var scratch [opScratchSize]byte
-	k := s.transformAppend(scratch[:0], key)
-	g := s.lockShardWrite(sh)
-	var seq uint64
-	if sh.wal != nil {
-		if seq = s.walEnqueueOp(sh, walOpPut, key, value); seq == 0 {
-			// Degraded (or closed) log: fail fast BEFORE the tree mutation,
-			// so memory never diverges from what the log can replay.
-			s.unlockShardWrite(sh, g)
-			return
-		}
-	}
-	sh.tree.Put(k, value)
-	s.unlockShardWrite(sh, g)
-	if seq != 0 {
-		s.walAwait(sh, seq)
-	}
+	s.writeOp(Op{Kind: OpPut, Key: key, Value: value})
 }
 
 // PutKey stores key without a value (set semantics).
 func (s *Store) PutKey(key []byte) {
-	sh := s.shardFor(key)
+	s.writeOp(Op{Kind: OpPutKey, Key: key})
+}
+
+// Delete removes key and reports whether it was present.
+func (s *Store) Delete(key []byte) bool {
+	return s.writeOp(Op{Kind: OpDelete, Key: key}).Ok
+}
+
+// writeOp is the single-key writer behind Put, PutKey and Delete: one
+// operation through shardWrite. A log that refuses the record (degraded or
+// closed) leaves the tree untouched and the zero Result.
+func (s *Store) writeOp(op Op) (r Result) {
+	sh := s.shardFor(op.Key)
 	var scratch [opScratchSize]byte
-	k := s.transformAppend(scratch[:0], key)
-	g := s.lockShardWrite(sh)
-	var seq uint64
-	if sh.wal != nil {
-		if seq = s.walEnqueueOp(sh, walOpPutKey, key, 0); seq == 0 {
-			s.unlockShardWrite(sh, g) // fail fast before mutating (see Put)
-			return
-		}
-	}
-	sh.tree.PutKey(k)
-	s.unlockShardWrite(sh, g)
-	if seq != 0 {
-		s.walAwait(sh, seq)
-	}
+	k := s.transformAppend(scratch[:0], op.Key)
+	s.shardWrite(sh, 1,
+		func() (uint64, int) { return s.walEnqueueOp(sh, op.Kind.walKind(), op.Key, op.Value) },
+		func(covered int) {
+			if covered == 1 {
+				r = applyOp(sh.tree, op, k)
+			}
+		})
+	return r
 }
 
 // Get returns the value stored for key; ok is false if the key is absent or
 // has no value attached. Get performs no heap allocation for keys whose
 // transformed form fits the stack scratch (raw keys under opScratchSize-1
 // bytes); longer keys pay one allocation. On non-race builds the lookup is
-// lock-free (pinned epoch read with seqlock validation, lockfree.go); it
-// falls back to the shard read lock only under sustained write pressure.
+// lock-free (seqlock-validated walk, shardFind in lockfree.go); it falls back
+// to the shard read lock only under sustained write pressure.
 func (s *Store) Get(key []byte) (value uint64, ok bool) {
 	sh := s.shardFor(key)
 	var scratch [opScratchSize]byte
-	k := s.transformAppend(scratch[:0], key)
-	return s.shardGet(sh, k)
+	value, ok, _ = s.shardFind(sh, s.transformAppend(scratch[:0], key))
+	return value, ok
 }
 
 // Has reports whether key is stored (with or without a value). Like Get, Has
@@ -128,29 +123,8 @@ func (s *Store) Get(key []byte) (value uint64, ok bool) {
 func (s *Store) Has(key []byte) bool {
 	sh := s.shardFor(key)
 	var scratch [opScratchSize]byte
-	k := s.transformAppend(scratch[:0], key)
-	return s.shardHas(sh, k)
-}
-
-// Delete removes key and reports whether it was present.
-func (s *Store) Delete(key []byte) bool {
-	sh := s.shardFor(key)
-	var scratch [opScratchSize]byte
-	k := s.transformAppend(scratch[:0], key)
-	g := s.lockShardWrite(sh)
-	var seq uint64
-	if sh.wal != nil {
-		if seq = s.walEnqueueOp(sh, walOpDelete, key, 0); seq == 0 {
-			s.unlockShardWrite(sh, g) // fail fast before mutating (see Put)
-			return false
-		}
-	}
-	ok := sh.tree.Delete(k)
-	s.unlockShardWrite(sh, g)
-	if seq != 0 {
-		s.walAwait(sh, seq)
-	}
-	return ok
+	_, _, exists := s.shardFind(sh, s.transformAppend(scratch[:0], key))
+	return exists
 }
 
 // Len returns the number of stored keys. Each shard's count is read through
@@ -374,29 +348,23 @@ func (s *Store) DeleteUint64(key uint64) bool {
 	return s.Delete(buf[:])
 }
 
-// Clear removes every key from the store.
+// Clear removes every key from the store, one shard at a time on the batch
+// worker pool, so under SyncAlways the per-shard fsyncs of one Clear overlap
+// (up to Workers() at a time).
 func (s *Store) Clear() {
-	var seqs []uint64
-	for i, sh := range s.shards {
-		g := s.lockShardWrite(sh)
-		if sh.wal != nil {
-			if seqs == nil {
-				seqs = make([]uint64, len(s.shards))
+	s.runIndexed(len(s.shards), func(i int) { s.clearShard(s.shards[i]) })
+}
+
+// clearShard empties one shard (logged as one clear record). WAL replay
+// reuses it before any log is attached.
+func (s *Store) clearShard(sh *shard) {
+	s.shardWrite(sh, 1,
+		func() (uint64, int) { return s.walEnqueueOp(sh, walOpClear, nil, 0) },
+		func(covered int) {
+			if covered == 1 {
+				sh.tree.Clear()
 			}
-			if seqs[i] = s.walEnqueueOp(sh, walOpClear, nil, 0); seqs[i] == 0 {
-				s.unlockShardWrite(sh, g) // fail fast before mutating (see Put)
-				continue
-			}
-		}
-		sh.tree.Clear()
-		s.unlockShardWrite(sh, g)
-	}
-	// Await after all shards enqueued, so the per-shard fsyncs overlap.
-	for i, seq := range seqs {
-		if seq != 0 {
-			s.walAwait(s.shards[i], seq)
-		}
-	}
+		})
 }
 
 // CheckInvariants validates the structural invariants of every arena's trie.

@@ -171,6 +171,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.WALAutoRearm > 0 {
 		s.autoRearmStop = make(chan struct{})
+		s.autoRearmDone = make(chan struct{})
 		go s.autoRearmLoop(opts.WALAutoRearm)
 	}
 	return s, nil
@@ -230,38 +231,16 @@ func (s *Store) replayWAL() error {
 		}
 		tail := shardTail{shard: shardID}
 		info, err := wal.Replay(dir, shardID, func(payload []byte) error {
-			for len(payload) > 0 {
-				kind := payload[0]
-				payload = payload[1:]
+			return decodeWalOps(payload, func(kind byte, key []byte, value uint64) {
 				if kind == walOpClear {
 					tail.cleared = true
 					tail.keybuf = tail.keybuf[:0]
 					tail.recs = tail.recs[:0]
-					continue
+					return
 				}
-				klen, n := binary.Uvarint(payload)
-				if n <= 0 || uint64(len(payload)-n) < klen {
-					return fmt.Errorf("%w: bad key length in record", ErrCorruptWAL)
-				}
-				key := payload[n : n+int(klen)]
-				payload = payload[n+int(klen):]
-				rec := tailRec{off: len(tail.keybuf), n: len(key), idx: len(tail.recs), kind: kind}
-				switch kind {
-				case walOpPut:
-					v, n := binary.Uvarint(payload)
-					if n <= 0 {
-						return fmt.Errorf("%w: bad value in record", ErrCorruptWAL)
-					}
-					payload = payload[n:]
-					rec.value = v
-				case walOpPutKey, walOpDelete:
-				default:
-					return fmt.Errorf("%w: unknown op kind %d", ErrCorruptWAL, kind)
-				}
+				tail.recs = append(tail.recs, tailRec{off: len(tail.keybuf), n: len(key), idx: len(tail.recs), kind: kind, value: value})
 				tail.keybuf = append(tail.keybuf, key...)
-				tail.recs = append(tail.recs, rec)
-			}
-			return nil
+			})
 		})
 		if err != nil {
 			return err
@@ -289,10 +268,7 @@ func (s *Store) replayWAL() error {
 	for ti := range tails {
 		tail := &tails[ti]
 		if tail.cleared {
-			sh := s.shards[tail.shard]
-			g := s.lockShardWrite(sh)
-			sh.tree.Clear()
-			s.unlockShardWrite(sh, g)
+			s.clearShard(s.shards[tail.shard])
 		}
 		buf := tail.keybuf
 		slices.SortFunc(tail.recs, func(a, b tailRec) int {
@@ -378,17 +354,19 @@ func (s *Store) noteWALErr(err error) {
 // mode by itself — at that point the logs are already healthy and cover
 // everything — but it is surfaced so the caller can retry.
 //
-// Rearm is safe to call concurrently with reads and writes; concurrent Rearm
-// calls serialise.
+// Rearm is safe to call concurrently with reads and writes; Rearm, Checkpoint
+// and Close serialise on one mutex. On a closed store it returns wal.ErrClosed
+// and leaves WALError alone; a Rearm already running when Close is called
+// finishes against open logs first.
 func (s *Store) Rearm() error {
 	if !s.WALEnabled() {
 		return ErrNoWAL
 	}
+	s.rearmMu.Lock()
+	defer s.rearmMu.Unlock()
 	if s.closed.Load() {
 		return wal.ErrClosed
 	}
-	s.rearmMu.Lock()
-	defer s.rearmMu.Unlock()
 	for _, sh := range s.shards {
 		if err := sh.wal.Rearm(); err != nil {
 			return err
@@ -398,17 +376,16 @@ func (s *Store) Rearm() error {
 	// error so writers resume.
 	s.walErr.Store(nil)
 	s.rearms.Add(1)
-	if _, err := s.Checkpoint(); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.checkpointLocked()
+	return err
 }
 
-// autoRearmLoop probes a degraded store at the configured period until the
-// store closes (Options.WALAutoRearm). A failed probe is deliberately
+// autoRearmLoop probes a degraded store at the configured period until Close
+// stops and joins it (Options.WALAutoRearm). A failed probe is deliberately
 // dropped: the next tick retries, and the sticky WALError already tells
 // operators what is wrong.
 func (s *Store) autoRearmLoop(period time.Duration) {
+	defer close(s.autoRearmDone)
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -443,37 +420,49 @@ func (s *Store) WALStats() WALStats {
 	return st
 }
 
-// Close makes the store's durable state final and releases its files:
-// in-flight writers are quiesced (each shard's write lock is taken once),
-// every per-shard log is flushed, fsynced and closed. Close is idempotent
-// and returns the first WAL error encountered over the store's lifetime —
-// a nil Close after SyncAlways writes means every acknowledged write is on
-// disk. Writes issued after Close are rejected before mutating memory (the
-// same fail-fast path as degraded mode) and leave the sticky ErrClosed in
-// WALError. On a store without a WAL, Close only marks the store closed.
+// Close makes the store's durable state final and releases its files: a
+// Rearm or Checkpoint in flight finishes first (later ones get
+// wal.ErrClosed), the auto-rearm prober is stopped and joined, in-flight
+// writers are quiesced (each shard's write lock is taken once), and every
+// per-shard log is flushed, fsynced and closed. Close returns the WAL failure
+// the store already carried when it was closed (degraded mode's root cause),
+// else the first error of its own flush/close — a nil Close after SyncAlways
+// writes means every acknowledged write is on disk. Close is idempotent:
+// repeat calls return the same result. Writes issued after Close are rejected
+// before mutating memory (the same fail-fast path as degraded mode) and leave
+// the sticky ErrClosed in WALError, not in Close's result. On a store without
+// a WAL, Close only marks the store closed.
 func (s *Store) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return s.WALError()
-	}
-	if s.autoRearmStop != nil {
-		close(s.autoRearmStop)
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock() // quiesce: no writer past this point enqueued before us
+	s.closeOnce.Do(func() {
+		s.closed.Store(true)
+		// Barrier: Rearm and Checkpoint re-check closed under rearmMu, so
+		// none touches a log past this point.
+		s.rearmMu.Lock()
 		//lint:ignore SA2001 empty critical section is the point: a barrier
-		sh.mu.Unlock()
-	}
-	var first error
-	for _, sh := range s.shards {
-		if sh.wal == nil {
-			continue
+		s.rearmMu.Unlock()
+		if s.autoRearmStop != nil {
+			close(s.autoRearmStop)
+			<-s.autoRearmDone
 		}
-		if err := sh.wal.Close(); err != nil && first == nil {
-			first = err
+		if prior := s.walErr.Load(); prior != nil {
+			s.closeErr = *prior
 		}
-	}
-	s.noteWALErr(first)
-	return s.WALError()
+		for _, sh := range s.shards {
+			sh.mu.Lock() // quiesce: no writer past this point enqueued before us
+			//lint:ignore SA2001 empty critical section is the point: a barrier
+			sh.mu.Unlock()
+		}
+		for _, sh := range s.shards {
+			if sh.wal == nil {
+				continue
+			}
+			if err := sh.wal.Close(); err != nil && s.closeErr == nil {
+				s.closeErr = err
+			}
+		}
+		s.noteWALErr(s.closeErr)
+	})
+	return s.closeErr
 }
 
 // Checkpoint folds the write-ahead log into a fresh snapshot: it rotates
@@ -482,10 +471,22 @@ func (s *Store) Close() error {
 // see the crash-window analysis at the top of this file). It returns the
 // number of keys in the snapshot. Checkpoint is safe to run while other
 // goroutines read and write the store; concurrent writes land in the
-// post-rotation segments and replay idempotently over the snapshot.
+// post-rotation segments and replay idempotently over the snapshot. It
+// serialises with Rearm and Close; on a closed store it returns
+// wal.ErrClosed and leaves WALError alone.
 func (s *Store) Checkpoint() (int, error) {
 	if !s.WALEnabled() {
 		return 0, ErrNoWAL
+	}
+	s.rearmMu.Lock()
+	defer s.rearmMu.Unlock()
+	return s.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint under rearmMu (Rearm ends with one).
+func (s *Store) checkpointLocked() (int, error) {
+	if s.closed.Load() {
+		return 0, wal.ErrClosed
 	}
 	boundaries := make([]uint64, len(s.shards))
 	for i, sh := range s.shards {
@@ -513,7 +514,8 @@ func (s *Store) Checkpoint() (int, error) {
 	return n, nil
 }
 
-// appendWalOp encodes one operation into a record payload.
+// appendWalOp encodes one operation into a record payload; decodeWalOps is
+// its inverse (the format is at the top of this file).
 func appendWalOp(dst []byte, kind byte, key []byte, value uint64) []byte {
 	dst = append(dst, kind)
 	if kind == walOpClear {
@@ -527,96 +529,99 @@ func appendWalOp(dst []byte, kind byte, key []byte, value uint64) []byte {
 	return dst
 }
 
-// walEnqueueOp logs one single-key operation. Called under the shard write
-// lock (that is what serialises the log against the tree). The returned
-// sequence is handed to walAwait after the lock is dropped; 0 means nothing
-// to wait for (no WAL, or the enqueue failed and the error is sticky).
-func (s *Store) walEnqueueOp(sh *shard, kind byte, key []byte, value uint64) uint64 {
+// decodeWalOps decodes one record payload, calling fn for every operation in
+// order; key aliases payload. Anything that is not a sequence of well-formed
+// operations — unknown kind, truncated or oversized key length, missing
+// value — is ErrCorruptWAL: the bytes come from disk, so no length is trusted
+// before it is checked against what is left of the payload.
+func decodeWalOps(payload []byte, fn func(kind byte, key []byte, value uint64)) error {
+	for len(payload) > 0 {
+		kind := payload[0]
+		payload = payload[1:]
+		if kind == walOpClear {
+			fn(kind, nil, 0)
+			continue
+		}
+		if kind != walOpPut && kind != walOpPutKey && kind != walOpDelete {
+			return fmt.Errorf("%w: unknown op kind %d", ErrCorruptWAL, kind)
+		}
+		klen, n := binary.Uvarint(payload)
+		if n <= 0 || uint64(len(payload)-n) < klen {
+			return fmt.Errorf("%w: bad key length in record", ErrCorruptWAL)
+		}
+		key := payload[n : n+int(klen)]
+		payload = payload[n+int(klen):]
+		var value uint64
+		if kind == walOpPut {
+			if value, n = binary.Uvarint(payload); n <= 0 {
+				return fmt.Errorf("%w: bad value in record", ErrCorruptWAL)
+			}
+			payload = payload[n:]
+		}
+		fn(kind, key, value)
+	}
+	return nil
+}
+
+// The walEnqueue* functions are the log bodies of shardWrite: each runs
+// under the shard write lock (that is what serialises the log against the
+// tree) and returns the last enqueued record's sequence — for the durability
+// wait after the lock is dropped; 0 = nothing to wait for — plus how many of
+// the write's operations the log now holds. A refused enqueue makes the error
+// sticky and covers nothing.
+
+// walEnqueueOp logs one single-key operation (or a clear): covered is 1 or 0.
+func (s *Store) walEnqueueOp(sh *shard, kind byte, key []byte, value uint64) (seq uint64, covered int) {
 	var scratch [opScratchSize + 2*binary.MaxVarintLen64 + 1]byte
 	seq, err := sh.wal.Enqueue(appendWalOp(scratch[:0], kind, key, value))
 	if err != nil {
 		s.noteWALErr(err)
-		return 0
+		return 0, 0
 	}
-	return seq
+	return seq, 1
 }
 
-// walEnqueueBatch logs the write ops of one shard group as a single record.
-// opIdx nil means all of ops. Reads are skipped. Called under the shard
-// write lock.
-func (s *Store) walEnqueueBatch(sh *shard, ops []Op, opIdx []int32) uint64 {
-	n := len(opIdx)
-	if opIdx == nil {
-		n = len(ops)
-	}
+// walEnqueueBatch logs the write ops of one shard group (opIdx nil = all of
+// ops; reads are skipped) as a single record: covered is the whole group or
+// 0. A group with nothing to log is covered without a record.
+func (s *Store) walEnqueueBatch(sh *shard, ops []Op, opIdx []int32) (seq uint64, covered int) {
+	n := groupLen(len(ops), opIdx)
 	payload := make([]byte, 0, n*16)
 	for k := 0; k < n; k++ {
-		op := &ops[k]
-		if opIdx != nil {
-			op = &ops[opIdx[k]]
-		}
-		switch op.Kind {
-		case OpPut:
-			payload = appendWalOp(payload, walOpPut, op.Key, op.Value)
-		case OpPutKey:
-			payload = appendWalOp(payload, walOpPutKey, op.Key, 0)
-		case OpDelete:
-			payload = appendWalOp(payload, walOpDelete, op.Key, 0)
+		op := &ops[groupAt(opIdx, k)]
+		if kind := op.Kind.walKind(); kind != 0 {
+			payload = appendWalOp(payload, kind, op.Key, op.Value)
 		}
 	}
 	if len(payload) == 0 {
-		return 0
+		return 0, n
 	}
 	seq, err := sh.wal.Enqueue(payload)
 	if err != nil {
 		s.noteWALErr(err)
-		return 0
+		return 0, 0
 	}
-	return seq
+	return seq, n
 }
 
 // walEnqueuePairs logs a bulk run's pairs, chunked so one record payload
-// stays under walMaxChunk. Called under the shard write lock; returns the
-// last record's sequence plus how many pairs were actually logged. The two
-// can disagree only when the log fails mid-run: earlier chunks are already
-// enqueued, so the caller MUST still apply exactly the covered prefix to the
-// tree — applying more (or less) would diverge memory from what the log
-// replays after a rearm or restart.
+// stays under walMaxChunk: covered is any prefix. The log can fail mid-run
+// with earlier chunks already enqueued, so exactly the covered prefix must
+// reach the tree — applying more (or less) would diverge memory from what the
+// log replays after a rearm or restart.
 func (s *Store) walEnqueuePairs(sh *shard, pairs []Pair) (last uint64, covered int) {
 	payload := make([]byte, 0, min(len(pairs)*16, walMaxChunk+opScratchSize))
 	for i := range pairs {
 		payload = appendWalOp(payload, walOpPut, pairs[i].Key, pairs[i].Value)
-		if len(payload) >= walMaxChunk {
+		if len(payload) >= walMaxChunk || i == len(pairs)-1 {
 			seq, err := sh.wal.Enqueue(payload)
 			if err != nil {
 				s.noteWALErr(err)
 				return last, covered
 			}
-			last = seq
-			covered = i + 1
+			last, covered = seq, i+1
 			payload = payload[:0]
 		}
 	}
-	if len(payload) > 0 {
-		seq, err := sh.wal.Enqueue(payload)
-		if err != nil {
-			s.noteWALErr(err)
-			return last, covered
-		}
-		last = seq
-	}
-	return last, len(pairs)
-}
-
-// walAwait applies the durability policy to a previously enqueued record:
-// under SyncAlways it blocks until the record is fsynced. Called after the
-// shard lock is released, so writers across shards (and writers of the same
-// shard accumulated during an in-flight fsync) share group commits.
-func (s *Store) walAwait(sh *shard, seq uint64) {
-	if seq == 0 {
-		return
-	}
-	if err := sh.wal.Commit(seq); err != nil {
-		s.noteWALErr(err)
-	}
+	return last, covered
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // chaosWriter is one writer goroutine's ledger: acked holds writes whose
@@ -430,4 +431,76 @@ func TestFailFastKeepsMemoryMatchingLog(t *testing.T) {
 	if _, ok := replayed["k3"]; ok {
 		t.Fatal("failed-fast key k3 found in the replayed log")
 	}
+}
+
+// TestWALCloseJoinsProber is the deterministic reproducer of the Close
+// ordering bug behind the chaos suite's "Close: wal: log closed" failures:
+// the auto-rearm prober is parked in the middle of a Rearm (inside the log's
+// fresh-segment open, past every closed check it makes) when Close is called.
+// Close must wait that probe out and join the prober before it closes the
+// logs; before it did, the probe went on to rotate a closed log for its
+// checkpoint and poisoned WALError with wal.ErrClosed, which Close (or the
+// next Close) then returned.
+func TestWALCloseJoinsProber(t *testing.T) {
+	dir := t.TempDir()
+	var in fault.Injector
+	gate := newIOGate()
+	opts := walOptions(dir, 1, SyncAlways)
+	opts.WALRetryMax = 1
+	opts.WALRetryBackoff = time.Millisecond
+	opts.WALAutoRearm = time.Millisecond
+	opts.WALOpenFile = func(path string) (WALFile, error) {
+		gate.park()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return in.Wrap(f), nil
+	}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	s.Put([]byte("acked"), 1)
+
+	// Degrade, then let the medium heal: the prober's next tick starts a
+	// Rearm, which parks opening the fresh segment.
+	gate.armed.Store(true)
+	in.FailWrites(-1, fault.ENOSPC())
+	s.Put([]byte("discovery"), 2)
+	in.Heal()
+	<-gate.entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !s.closed.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Close joined the prober, so nothing can touch the store any more.
+	if err := s.WALError(); err != nil {
+		t.Fatalf("WALError after Close = %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := s.Rearm(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Rearm on a closed store = %v, want wal.ErrClosed", err)
+	}
+	if _, err := s.Checkpoint(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Checkpoint on a closed store = %v, want wal.ErrClosed", err)
+	}
+	if err := s.WALError(); err != nil {
+		t.Fatalf("Rearm/Checkpoint on a closed store poisoned WALError: %v", err)
+	}
+
+	re, err := Open(walOptions(dir, 1, SyncAlways))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close() //nolint:errsink read-only verification store
+	checkState(t, re, map[string]uint64{"acked": 1, "discovery": 2}, nil)
 }

@@ -156,9 +156,7 @@ func (fc *funcChecker) evalCall(call *ast.CallExpr, st *state, topDiscard bool) 
 		if uo.RecvType != "" && receiverTypeName(fc.pass.TypesInfo, call) != uo.RecvType {
 			continue
 		}
-		// Any open bracket counts: a Tree mutation directly under a raw
-		// BeginWrite is just as published-safe as one under the composite
-		// lockShardWrite bracket.
+		// Any open bracket counts, whichever pair the spec names.
 		open := false
 		for _, d := range st.depth {
 			if d > 0 {
@@ -176,8 +174,8 @@ func (fc *funcChecker) evalCall(call *ast.CallExpr, st *state, topDiscard bool) 
 	}
 }
 
-func (fc *funcChecker) pairIndex(name string) int {
-	for i, p := range fc.cfg.Pairs {
+func (c *checker) pairIndex(name string) int {
+	for i, p := range c.cfg.Pairs {
 		if p.Name == name {
 			return i
 		}

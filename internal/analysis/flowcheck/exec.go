@@ -327,7 +327,7 @@ func (fc *funcChecker) registerDeferred(ns *state, call *ast.CallExpr) {
 // cleanup.
 func (fc *funcChecker) checkExit(st *state, pos token.Pos, returned map[*types.Var]bool, panicking bool) {
 	for i, p := range fc.cfg.Pairs {
-		eff := st.depth[i] - st.defClose[i]
+		eff := st.depth[i] - st.defClose[i] - fc.base[i]
 		if eff > 0 {
 			at := st.openPos[i]
 			if at == token.NoPos {

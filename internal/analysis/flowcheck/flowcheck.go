@@ -48,10 +48,11 @@ type Config struct {
 	PinFuncs     []string // calls returning a pin (Pin)
 	ReleaseFuncs []string // method names releasing a pin (Unpin)
 
-	// ExemptAnnotation marks protocol-half functions (e.g.
-	// "hyperion:bracket"): a function whose doc comment contains it skips
-	// all pairing checks, because it intentionally contains one half.
-	ExemptAnnotation string
+	// BodiesUnder names combinators that own a pair and run the func
+	// literals passed to them inside it (call base name → PairSpec.Name,
+	// e.g. "shardWrite"): such a literal is checked starting with the pair
+	// open and is expected to leave it open.
+	BodiesUnder map[string]string
 }
 
 // Check runs the engine over every function in the pass.
@@ -63,33 +64,33 @@ func (cfg *Config) Check(pass *analysis.Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if cfg.ExemptAnnotation != "" && docContains(fd.Doc, cfg.ExemptAnnotation) {
-				continue
-			}
-			c.checkFunc(fd.Body)
+			c.checkFunc(fd.Body, -1)
 			// Function literals are separate scopes with their own
 			// obligations (pins taken inside a closure must be released
-			// inside it unless they escape).
+			// inside it unless they escape). The walk is pre-order, so a
+			// combinator call is seen before the literals passed to it.
+			under := map[*ast.FuncLit]int{}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					c.checkFunc(lit.Body)
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					if pair, ok := cfg.BodiesUnder[callName(x)]; ok {
+						for _, a := range x.Args {
+							if lit, ok := a.(*ast.FuncLit); ok {
+								under[lit] = c.pairIndex(pair)
+							}
+						}
+					}
+				case *ast.FuncLit:
+					open, ok := under[x]
+					if !ok {
+						open = -1
+					}
+					c.checkFunc(x.Body, open)
 				}
 				return true
 			})
 		}
 	}
-}
-
-func docContains(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, marker) {
-			return true
-		}
-	}
-	return false
 }
 
 // pinInfo is a held pin variable's acquisition site.
@@ -226,9 +227,13 @@ type loopCtx struct {
 type funcChecker struct {
 	*checker
 	loops []*loopCtx
+	base  []int8 // per-pair depth the function is entered with and must exit at
 }
 
-func (c *checker) checkFunc(body *ast.BlockStmt) {
+// checkFunc interprets one function body. open >= 0 is the index of a pair
+// the body is entered under (a literal passed to a Config.BodiesUnder
+// combinator); -1 enters with everything closed.
+func (c *checker) checkFunc(body *ast.BlockStmt, open int) {
 	if hasGoto(body) {
 		return
 	}
@@ -239,9 +244,12 @@ func (c *checker) checkFunc(body *ast.BlockStmt) {
 			}
 		}
 	}()
-	fc := &funcChecker{checker: c}
+	fc := &funcChecker{checker: c, base: make([]int8, len(c.cfg.Pairs))}
+	if open >= 0 {
+		fc.base[open] = 1
+	}
 	init := &state{
-		depth:    make([]int8, len(c.cfg.Pairs)),
+		depth:    append([]int8(nil), fc.base...),
 		openPos:  make([]token.Pos, len(c.cfg.Pairs)),
 		defClose: make([]int8, len(c.cfg.Pairs)),
 		pins:     map[*types.Var]pinInfo{},

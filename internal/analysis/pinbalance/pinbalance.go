@@ -6,8 +6,8 @@
 // no test fails, but the epoch can never advance past the leaked reader, so
 // retired tree nodes accumulate forever. The memory manager's reclamation
 // stalls and the process slowly eats the heap. Returning the guard transfers
-// ownership to the caller (the lockShardWrite idiom). Deliberate leaks
-// (process-lifetime pins) are suppressed with `//nolint:pinbalance <reason>`.
+// ownership to the caller. Deliberate leaks (process-lifetime pins) are
+// suppressed with `//nolint:pinbalance <reason>`.
 package pinbalance
 
 import (
@@ -24,9 +24,8 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	cfg := flowcheck.Config{
-		PinFuncs:         []string{"Pin"},
-		ReleaseFuncs:     []string{"Unpin"},
-		ExemptAnnotation: "hyperion:bracket",
+		PinFuncs:     []string{"Pin"},
+		ReleaseFuncs: []string{"Unpin"},
 	}
 	cfg.Check(pass)
 	return nil, nil

@@ -1,8 +1,8 @@
 // Package seqlockpair verifies the seqlock publication protocol of the write
-// path (PR 6): every BeginWrite is matched by an EndWrite on all control-flow
-// paths of the same function, every lockShardWrite by an unlockShardWrite,
-// and — in packages implementing the bracket protocol — tree mutations and
-// WAL enqueues happen only inside an open bracket.
+// path: every BeginWrite is matched by an EndWrite on all control-flow paths
+// of the same function, and — in the package that implements the writer
+// protocol — tree mutations and WAL enqueues happen only inside the open
+// bracket.
 //
 // A torn bracket is the worst kind of concurrency bug this codebase can
 // grow: an odd sequence number parks every optimistic reader on the locked
@@ -11,16 +11,17 @@
 // correctness hole that only a race window exposes). Both are invisible to
 // the compiler and usually to the tests.
 //
-// Functions that ARE the protocol — the bracket halves lockShardWrite and
-// unlockShardWrite — carry a `//hyperion:bracket <pair>-begin|-end` marker in
-// their doc comment and are exempt from intra-function pairing; their
-// presence in a package is also what switches on the mutation-under-bracket
-// rule there. Construction-time mutations of trees no reader can observe yet
-// are suppressed per function with `//nolint:seqlockpair <reason>`.
+// The bracket has one home, the shardWrite combinator: it opens and closes
+// the pair itself (checked like any other function) and runs the func
+// literals passed to it in between, so those literals are interpreted with
+// the bracket open. Declaring shardWrite is also what switches on the
+// mutation-under-bracket rule for a package. Construction-time mutations of
+// trees no reader can observe yet, and helpers reached only from shardWrite
+// bodies, are suppressed per function with `//nolint:seqlockpair <reason>`.
 package seqlockpair
 
 import (
-	"strings"
+	"go/ast"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/flowcheck"
@@ -29,48 +30,41 @@ import (
 // Analyzer is the seqlockpair entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "seqlockpair",
-	Doc:  "check BeginWrite/EndWrite and lockShardWrite/unlockShardWrite bracket pairing on all control-flow paths",
+	Doc:  "check BeginWrite/EndWrite pairing on all control-flow paths and that tree mutations and WAL enqueues run inside the bracket shardWrite holds open",
 	Run:  run,
 }
 
 const (
-	seqPair   = "BeginWrite/EndWrite"
-	shardPair = "lockShardWrite/unlockShardWrite"
+	seqPair    = "BeginWrite/EndWrite"
+	combinator = "shardWrite"
 )
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	cfg := flowcheck.Config{
-		Pairs: []flowcheck.PairSpec{
-			{Name: seqPair, Open: "BeginWrite", Close: "EndWrite"},
-			{Name: shardPair, Open: "lockShardWrite", Close: "unlockShardWrite"},
-		},
-		ExemptAnnotation: "hyperion:bracket",
+		Pairs:       []flowcheck.PairSpec{{Name: seqPair, Open: "BeginWrite", Close: "EndWrite"}},
+		BodiesUnder: map[string]string{combinator: seqPair},
 	}
-	// The mutation-under-bracket rule applies only to packages that
-	// implement the bracket protocol (detected by the presence of a
-	// hyperion:bracket marker): the package that shares trees with
-	// lock-free readers. The tree implementation itself (repro/internal/
-	// core) and single-owner users mutate trees freely.
-	if packageHasBracketProtocol(pass) {
-		cfg.UnderOpen = []flowcheck.UnderOpenSpec{
-			{Call: "Put", RecvType: "Tree", Pair: shardPair},
-			{Call: "PutKey", RecvType: "Tree", Pair: shardPair},
-			{Call: "Delete", RecvType: "Tree", Pair: shardPair},
-			{Call: "BulkMerge", RecvType: "Tree", Pair: shardPair},
-			{Call: "walEnqueueOp", RecvType: "Store", Pair: shardPair},
+	// The mutation-under-bracket rule applies only to the package that
+	// shares trees with lock-free readers, detected by its declaring the
+	// combinator. The tree implementation itself (repro/internal/core) and
+	// single-owner users mutate trees freely.
+	if declaresFunc(pass, combinator) {
+		for _, m := range []string{"Put", "PutKey", "Delete", "BulkLoad", "Clear"} {
+			cfg.UnderOpen = append(cfg.UnderOpen, flowcheck.UnderOpenSpec{Call: m, RecvType: "Tree", Pair: seqPair})
+		}
+		for _, m := range []string{"walEnqueueOp", "walEnqueueBatch", "walEnqueuePairs"} {
+			cfg.UnderOpen = append(cfg.UnderOpen, flowcheck.UnderOpenSpec{Call: m, RecvType: "Store", Pair: seqPair})
 		}
 	}
 	cfg.Check(pass)
 	return nil, nil
 }
 
-func packageHasBracketProtocol(pass *analysis.Pass) bool {
+func declaresFunc(pass *analysis.Pass, name string) bool {
 	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.Contains(c.Text, "hyperion:bracket") {
-					return true
-				}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name {
+				return true
 			}
 		}
 	}

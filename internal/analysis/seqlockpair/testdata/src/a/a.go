@@ -1,14 +1,8 @@
-// Package a models the hyperion write-bracket protocol for seqlockpair
-// tests: a Tree with BeginWrite/EndWrite, a Store with the
-// lockShardWrite/unlockShardWrite halves, and writer functions in both
+// Package a models the hyperion writer protocol for seqlockpair tests: a
+// Tree with BeginWrite/EndWrite, a Store whose shardWrite combinator holds
+// the bracket open around the bodies passed to it, and writers in both
 // correct and broken shapes.
 package a
-
-// Guard mimics epoch.Guard.
-type Guard struct{ held bool }
-
-// Unpin mimics Guard.Unpin.
-func (g Guard) Unpin() {}
 
 // Tree mimics core.Tree.
 type Tree struct{ seq uint64 }
@@ -18,49 +12,117 @@ func (t *Tree) EndWrite()              { t.seq++ }
 func (t *Tree) Put(k []byte, v uint64) {}
 func (t *Tree) PutKey(k []byte)        {}
 func (t *Tree) Delete(k []byte) bool   { return false }
-func (t *Tree) BulkMerge(n int)        {}
+func (t *Tree) BulkLoad(n int)         {}
+func (t *Tree) Clear()                 {}
 func (t *Tree) Get(k []byte) uint64    { return 0 }
 
-type shard struct{ tree *Tree }
+type shard struct {
+	tree *Tree
+	wal  bool
+}
 
 // Store mimics hyperion.Store.
 type Store struct{ sh *shard }
 
-// lockShardWrite is a bracket half: BeginWrite without EndWrite is its job.
-//
-//hyperion:bracket shardwrite-begin
-func (s *Store) lockShardWrite(sh *shard) Guard {
+// shardWrite is the combinator: it pairs the bracket itself and runs both
+// bodies inside it.
+func (s *Store) shardWrite(sh *shard, n int, log func() (uint64, int), apply func(covered int)) {
 	sh.tree.BeginWrite()
-	return Guard{held: true}
-}
-
-// unlockShardWrite is the closing half.
-//
-//hyperion:bracket shardwrite-end
-func (s *Store) unlockShardWrite(sh *shard, g Guard) {
-	sh.tree.EndWrite()
-	g.Unpin()
-}
-
-func (s *Store) walEnqueueOp(sh *shard, op byte) uint64 { return 1 }
-
-func work() bool { return false }
-
-// putOK pairs the bracket on the only path.
-func (s *Store) putOK(k []byte, v uint64) {
-	g := s.lockShardWrite(s.sh)
-	s.sh.tree.Put(k, v)
-	s.unlockShardWrite(s.sh, g)
-}
-
-// putEarlyReturn leaks the bracket on the early-return path.
-func (s *Store) putEarlyReturn(k []byte, v uint64, cond bool) {
-	g := s.lockShardWrite(s.sh) // want `lockShardWrite is not matched by unlockShardWrite on every path`
-	if cond {
-		return
+	if sh.wal {
+		_, n = log()
 	}
-	s.sh.tree.Put(k, v)
-	s.unlockShardWrite(s.sh, g)
+	apply(n)
+	sh.tree.EndWrite()
+}
+
+func (s *Store) walEnqueueOp(sh *shard, op byte) (uint64, int) { return 1, 1 }
+func (s *Store) walEnqueueBatch(sh *shard) (uint64, int)       { return 1, 1 }
+func (s *Store) walEnqueuePairs(sh *shard) (uint64, int)       { return 1, 1 }
+
+// run is some other function taking a body: nothing says it holds a bracket.
+func run(body func()) { body() }
+
+// putOK logs and mutates inside bodies passed to shardWrite.
+func (s *Store) putOK(k []byte, v uint64) {
+	s.shardWrite(s.sh, 1,
+		func() (uint64, int) { return s.walEnqueueOp(s.sh, 1) },
+		func(covered int) {
+			if covered == 1 {
+				s.sh.tree.Put(k, v)
+			}
+		})
+}
+
+// everyMutatorOK covers the rest of the guarded set, loops and switches
+// included.
+func (s *Store) everyMutatorOK(mode, n int) {
+	s.shardWrite(s.sh, n,
+		func() (uint64, int) {
+			if mode == 0 {
+				return s.walEnqueueBatch(s.sh)
+			}
+			return s.walEnqueuePairs(s.sh)
+		},
+		func(covered int) {
+			switch mode {
+			case 0:
+				s.sh.tree.BulkLoad(covered)
+			case 1:
+				s.sh.tree.Clear()
+			default:
+				for i := 0; i < covered; i++ {
+					s.sh.tree.PutKey(nil)
+					s.sh.tree.Delete(nil)
+				}
+			}
+		})
+}
+
+// putBare is the same mutation with no bracket around it.
+func (s *Store) putBare(k []byte, v uint64) {
+	s.sh.tree.Put(k, v) // want `Put called outside an open BeginWrite/EndWrite bracket`
+}
+
+// bodyElsewhere passes the body to something that is not the combinator.
+func (s *Store) bodyElsewhere(k []byte) {
+	run(func() {
+		s.sh.tree.Delete(k) // want `Delete called outside an open BeginWrite/EndWrite bracket`
+	})
+}
+
+// bulkBare and clearBare are the mutators the old list missed.
+func bulkBare(t *Tree) {
+	t.BulkLoad(1) // want `BulkLoad called outside an open BeginWrite/EndWrite bracket`
+}
+
+func clearBare(t *Tree) {
+	t.Clear() // want `Clear called outside an open BeginWrite/EndWrite bracket`
+}
+
+// walBare enqueues outside the shard lock, breaking the
+// enqueue-under-write-lock ordering; so do the batch and bulk enqueues.
+func walBare(s *Store) {
+	s.walEnqueueOp(s.sh, 1) // want `walEnqueueOp called outside an open BeginWrite/EndWrite bracket`
+	s.walEnqueueBatch(s.sh) // want `walEnqueueBatch called outside an open BeginWrite/EndWrite bracket`
+	s.walEnqueuePairs(s.sh) // want `walEnqueuePairs called outside an open BeginWrite/EndWrite bracket`
+	s.shardWrite(s.sh, 1, nil, func(int) {})
+}
+
+// bodyClosesBracket publishes early from inside a body: the mutation after it
+// is outside the bracket.
+func (s *Store) bodyClosesBracket() {
+	s.shardWrite(s.sh, 1, nil, func(int) {
+		s.sh.tree.EndWrite()
+		s.sh.tree.Put(nil, 0) // want `Put called outside an open BeginWrite/EndWrite bracket`
+	})
+}
+
+// bodyNestsUnpaired opens a second bracket inside a body and leaks it.
+func (s *Store) bodyNestsUnpaired() {
+	s.shardWrite(s.sh, 1, nil, func(int) {
+		s.sh.tree.BeginWrite() // want `BeginWrite is not matched by EndWrite on every path`
+		s.sh.tree.Put(nil, 0)
+	})
 }
 
 // rawUnpaired opens the seqlock and closes it only conditionally.
@@ -84,86 +146,31 @@ func rawPaired(t *Tree, cond bool) {
 }
 
 // deferClose covers every exit, including the early return.
-func deferClose(s *Store, cond bool) {
-	g := s.lockShardWrite(s.sh)
-	defer s.unlockShardWrite(s.sh, g)
+func deferClose(t *Tree, cond bool) {
+	t.BeginWrite()
+	defer t.EndWrite()
 	if cond {
 		return
 	}
-	s.sh.tree.Put(nil, 0)
+	t.Put(nil, 0)
 }
 
-// mutateOutside writes the tree with no bracket open.
-func mutateOutside(t *Tree) {
-	t.Put(nil, 0) // want `Put called outside an open lockShardWrite/unlockShardWrite bracket`
-}
-
-// deleteOutside is the same hole through Delete.
-func deleteOutside(t *Tree) bool {
-	return t.Delete(nil) // want `Delete called outside an open lockShardWrite/unlockShardWrite bracket`
-}
-
-// closeOnly hands back a bracket that was never opened here... which is
-// exactly the double-unlock shape.
-func closeOnly(s *Store, g Guard) {
-	s.unlockShardWrite(s.sh, g) // want `unlockShardWrite without a preceding lockShardWrite`
-}
-
-// walBeforeBracket enqueues to the WAL before the shard lock is held,
-// breaking the enqueue-under-write-lock ordering.
-func walBeforeBracket(s *Store) {
-	seq := s.walEnqueueOp(s.sh, 1) // want `walEnqueueOp called outside an open lockShardWrite/unlockShardWrite bracket`
-	g := s.lockShardWrite(s.sh)
-	s.sh.tree.Put(nil, 0)
-	s.unlockShardWrite(s.sh, g)
-	_ = seq
-}
-
-// walInBracket is the correct ordering.
-func (s *Store) walInBracket(k []byte, v uint64) {
-	g := s.lockShardWrite(s.sh)
-	seq := s.walEnqueueOp(s.sh, 2)
-	s.sh.tree.Put(k, v)
-	s.unlockShardWrite(s.sh, g)
-	_ = seq
-}
-
-// loopBreak holds the bracket across a loop with break and closes after.
-func (s *Store) loopBreak(n int) {
-	g := s.lockShardWrite(s.sh)
-	for i := 0; i < n; i++ {
-		if work() {
-			break
-		}
-		s.sh.tree.Put(nil, uint64(i))
-	}
-	s.unlockShardWrite(s.sh, g)
+// closeOnly closes a bracket that was never opened here: the double-publish
+// shape.
+func closeOnly(t *Tree) {
+	t.EndWrite() // want `EndWrite without a preceding BeginWrite`
 }
 
 // loopLeak returns from inside the loop with the bracket open.
-func (s *Store) loopLeak(n int) uint64 {
-	g := s.lockShardWrite(s.sh) // want `lockShardWrite is not matched by unlockShardWrite on every path`
+func loopLeak(t *Tree, n int) uint64 {
+	t.BeginWrite() // want `BeginWrite is not matched by EndWrite on every path`
 	for i := 0; i < n; i++ {
-		if work() {
-			return s.sh.tree.Get(nil)
+		if i == 3 {
+			return t.Get(nil)
 		}
 	}
-	s.unlockShardWrite(s.sh, g)
+	t.EndWrite()
 	return 0
-}
-
-// switchPaired closes on every case.
-func (s *Store) switchPaired(mode int) {
-	g := s.lockShardWrite(s.sh)
-	switch mode {
-	case 0:
-		s.sh.tree.Put(nil, 0)
-	case 1:
-		s.sh.tree.PutKey(nil)
-	default:
-		s.sh.tree.BulkMerge(1)
-	}
-	s.unlockShardWrite(s.sh, g)
 }
 
 // constructionTime mutates a tree no reader can see yet; the suppression

@@ -83,27 +83,15 @@ func (t *Tree) PutKey(key []byte) { t.put(key, 0, false) }
 //
 //hyperion:noalloc
 func (t *Tree) Get(key []byte) (value uint64, ok bool) {
-	if len(key) == 0 {
-		return t.emptyValue, t.emptyExists && t.emptyHas
-	}
-	if t.rootHP.IsNil() {
-		return 0, false
-	}
-	v, hasValue, _ := t.find(key)
-	return v, hasValue
+	value, ok, _ = t.Find(key)
+	return value, ok
 }
 
 // Has reports whether key is stored, with or without a value.
 //
 //hyperion:noalloc
 func (t *Tree) Has(key []byte) bool {
-	if len(key) == 0 {
-		return t.emptyExists
-	}
-	if t.rootHP.IsNil() {
-		return false
-	}
-	_, _, exists := t.find(key)
+	_, _, exists := t.Find(key)
 	return exists
 }
 
@@ -173,9 +161,18 @@ func (t *Tree) putInContainer(slot *containerSlot, key []byte, value uint64, has
 	}
 }
 
-// find walks the trie for key and reports the stored value (if any) and
-// whether the key exists at all.
-func (t *Tree) find(key []byte) (value uint64, hasValue bool, exists bool) {
+// Find is the one point lookup: it walks the trie for key and reports the
+// stored value, whether a value is attached (Get's ok) and whether the key
+// exists at all (Has). Get and Has are projections of it.
+//
+//hyperion:noalloc
+func (t *Tree) Find(key []byte) (value uint64, hasValue bool, exists bool) {
+	if len(key) == 0 {
+		return t.emptyValue, t.emptyExists && t.emptyHas, t.emptyExists
+	}
+	if t.rootHP.IsNil() {
+		return 0, false, false
+	}
 	hp := t.rootHP
 	rest := key
 	for {
