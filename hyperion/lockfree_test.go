@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -506,6 +507,101 @@ func TestShardReadUnderWriter(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShardFindUnderChurn is the torn-read torture for shardFind, the one
+// reader whose protocol is open-coded: readers Get a fixed set of keys that
+// are never modified while one writer inserts and deletes their neighbours
+// in the same arena — keys that share every container on the stable keys'
+// paths, in waves large enough to grow the containers through the size
+// classes (realloc), eject embedded containers and build, grow and hole both
+// kinds of jump table under the readers' feet. Every read must return the
+// key's one value: a miss or any other value is a torn walk that the seqlock
+// validation or the recover barrier let through. Lock-free builds only (the
+// race build's shardFind is a plain RLock).
+func TestShardFindUnderChurn(t *testing.T) {
+	s := New(DefaultOptions()) // one arena: everything churns in the same tree
+	if s.ReadLockMode() != "epoch" {
+		t.Skip("shardFind is only optimistic on lock-free (non-race) builds")
+	}
+	const (
+		groups  = 6
+		perWave = 64 * 48 // neighbours per group and wave: 64 T-Nodes x 48 S-Nodes two levels down
+		waves   = 2
+	)
+	// Readers spin without yielding; leave the writer a CPU of its own, or a
+	// wave takes minutes of 10 ms preemption slices instead of a second.
+	readers := min(max(runtime.GOMAXPROCS(0)-1, 1), 3)
+	valueOf := func(k []byte) uint64 { // FNV-1a: each key has one value, a function of its bytes
+		h := uint64(14695981039346656037)
+		for _, c := range k {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		return h
+	}
+	var stable [][]byte
+	for g := 0; g < groups; g++ {
+		for _, suffix := range []string{"", "/", "/st", "/stable", "/stable/and/a/long/path/compressed/tail", "/zz"} {
+			k := []byte(fmt.Sprintf("g%d%s", g, suffix))
+			stable = append(stable, k)
+			s.Put(k, valueOf(k))
+		}
+	}
+	// Neighbours of group g vary bytes 3 and 4 — the T and S key of the
+	// stream the "/st..." stable keys live in — so that stream gains and
+	// loses T-Nodes next to 's' and S-Nodes next to 't'.
+	neighbour := func(g, i int) []byte {
+		return []byte(fmt.Sprintf("g%d/%c%c%03d", g, 'A'+i%64, '0'+i/64, i%7))
+	}
+
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			n := int64(0)
+			for i := r; !stop.Load(); i++ {
+				k := stable[i%len(stable)]
+				if v, ok := s.Get(k); !ok || v != valueOf(k) {
+					t.Errorf("Get(%q) = %d,%v under churn, want %d,true", k, v, ok, valueOf(k))
+					stop.Store(true)
+				}
+				n++
+			}
+			reads.Add(n)
+		}(r)
+	}
+	for w := 0; w < waves && !stop.Load(); w++ {
+		for g := 0; g < groups; g++ {
+			for i := 0; i < perWave; i++ {
+				k := neighbour(g, i)
+				s.Put(k, valueOf(k))
+			}
+		}
+		for g := 0; g < groups; g++ {
+			for i := 0; i < perWave; i++ {
+				if (i+w)%5 != 0 { // leave a changing fifth behind: holes, not empty streams
+					s.Delete(neighbour(g, i))
+				}
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants after churn: %v", err)
+	}
+	st := s.Stats()
+	reallocs := s.shards[0].tree.Allocator().Stats().TotalReallocs
+	if st.Ejections == 0 || st.TNodeJumpTables == 0 || st.ContainerJTUpdates == 0 || reallocs == 0 {
+		t.Fatalf("churn too gentle: %d ejections, %d T-Node jump tables, %d container jump table updates, %d reallocs",
+			st.Ejections, st.TNodeJumpTables, st.ContainerJTUpdates, reallocs)
+	}
+	t.Logf("%d reads against %d ejections, %d T-Node jump tables, %d container jump table updates, %d reallocs",
+		reads.Load(), st.Ejections, st.TNodeJumpTables, st.ContainerJTUpdates, reallocs)
+}
+
 // epochAdvances reports whether the store's epoch domain can still move
 // forward, i.e. no reader pin leaked.
 func epochAdvances(s *Store) bool {
@@ -726,8 +822,10 @@ func TestShardWriteBulkPrefix(t *testing.T) {
 	got := -1
 	s.shardWrite(sh, n,
 		func() (uint64, int) {
-			seq, covered := s.walEnqueuePairs(sh, pairs[:k])
+			// Armed before the enqueue: armed after it, the committer may
+			// already have written the chunk and nothing trips the log.
 			in.FailWrites(-1, fault.ENOSPC())
+			seq, covered := s.walEnqueuePairs(sh, pairs[:k])
 			for sh.wal.Err() == nil { // the committer trips over the chunk just enqueued
 				time.Sleep(time.Millisecond)
 			}
@@ -809,6 +907,16 @@ func TestShardWriteAwaitsOutsideLock(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); s.Put([]byte("first"), 1) }()
 	<-gate.entered // the first writer's record is in Sync; its Put has not returned
+	// The committer can reach Sync while the first writer is still on its way
+	// out of the lock it enqueued under; the wait it then parks in is outside.
+	for i := 0; !sh.mu.TryLock(); i++ {
+		if i == 5000 {
+			close(gate.release) // or Close in the cleanup waits for the parked committer forever
+			t.Fatal("shard lock still held while the first writer waits on its fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sh.mu.Unlock()
 	checkShardIdle(t, sh)
 	go func() { defer wg.Done(); s.Put([]byte("second"), 2) }()
 	for !s.Has([]byte("second")) { // applied ⇒ it held the lock and enqueued

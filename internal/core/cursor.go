@@ -303,7 +303,7 @@ func (c *Cursor) seekTop(low []byte) (nextHP memman.HP, nextLow []byte, nextBase
 			if ts.succKey >= 0 {
 				// First T beyond the bound byte: everything from here on is
 				// above the bound.
-				f.pos = int32(ts.succPos)
+				f.pos = int32(ts.pos)
 				f.knownT = int16(ts.succKey)
 			} else {
 				f.pos = f.end // exhausted at this level
@@ -322,7 +322,7 @@ func (c *Cursor) seekTop(low []byte) (nextHP memman.HP, nextLow []byte, nextBase
 		if !ss.found {
 			f.prevT = int16(low[0])
 			if ss.succKey >= 0 {
-				f.pos = int32(ss.succPos)
+				f.pos = int32(ss.pos)
 				f.knownS = int16(ss.succKey)
 			} else {
 				// No S >= low[1] under this T: continue at the next sibling

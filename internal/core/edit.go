@@ -374,21 +374,21 @@ func (e *editCtx) materializeKey(pos int, key byte) {
 	}
 }
 
-// rebaseSibling adjusts the delta encoding of the sibling node at succPos
+// rebaseSibling adjusts the delta encoding of the sibling node at sibPos
 // (absolute key succKey) after a new sibling with key newKey was inserted
 // directly in front of it.
-func (e *editCtx) rebaseSibling(succPos int, succKey, newKey int) {
-	if succPos < 0 || succKey < 0 {
+func (e *editCtx) rebaseSibling(sibPos int, succKey, newKey int) {
+	if sibPos < 0 || succKey < 0 {
 		return
 	}
-	hdr := e.buf[succPos]
+	hdr := e.buf[sibPos]
 	if nodeDelta(hdr) == 0 {
 		return // explicit keys never need rebasing
 	}
 	d := succKey - newKey
 	if e.t.cfg.DeltaEncoding && d >= 1 && d <= 7 {
-		setNodeDelta(e.buf, succPos, d)
+		setNodeDelta(e.buf, sibPos, d)
 		return
 	}
-	e.materializeKey(succPos, byte(succKey))
+	e.materializeKey(sibPos, byte(succKey))
 }

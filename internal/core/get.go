@@ -13,13 +13,14 @@ import (
 // container, the child's HP and the remaining key bytes are returned so the
 // caller can continue without recursion. The whole walk performs no heap
 // allocation.
+//
+//hyperion:noalloc
 func (t *Tree) findInStream(buf []byte, reg region, key []byte, topLevel bool) (value uint64, hasValue, exists bool, nextHP memman.HP, nextKey []byte) {
 	for {
-		ts := scanT(buf, reg, key[0], topLevel && t.cfg.ContainerJumpTable)
-		if !ts.found {
+		tPos := findT(buf, reg, key[0], topLevel && t.cfg.ContainerJumpTable)
+		if tPos < 0 {
 			return
 		}
-		tPos := ts.pos
 		if len(key) == 1 {
 			switch hdr := buf[tPos]; nodeType(hdr) {
 			case typeKeyVal:
@@ -29,11 +30,10 @@ func (t *Tree) findInStream(buf []byte, reg region, key []byte, topLevel bool) (
 			}
 			return
 		}
-		ss := scanS(buf, reg, tPos, key[1])
-		if !ss.found {
+		sPos := findS(buf, reg, tPos, key[1])
+		if sPos < 0 {
 			return
 		}
-		sPos := ss.pos
 		hdr := buf[sPos]
 		if len(key) == 2 {
 			switch nodeType(hdr) {

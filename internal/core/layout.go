@@ -207,14 +207,23 @@ func nodeKeyLen(hdr byte) int {
 	return 0
 }
 
-// nodeKey decodes the absolute key of the node at pos given the key of its
-// preceding sibling (-1 if there is none or it is unknown).
-func nodeKey(buf []byte, pos int, prevKey int) byte {
-	hdr := buf[pos]
+// decodeKey decodes the absolute key of the node at pos, whose header byte
+// the caller has already loaded, given the key of its preceding sibling (-1
+// if there is none or it is unknown). It is the one spelling of the delta
+// decode; the scan loops call it with the header in hand so the byte is
+// loaded once per node.
+//
+//hyperion:noalloc
+func decodeKey(buf []byte, pos int, hdr byte, prevKey int) byte {
 	if d := nodeDelta(hdr); d != 0 {
 		return byte(prevKey + d)
 	}
 	return buf[pos+1]
+}
+
+// nodeKey is decodeKey for callers that have not loaded the header.
+func nodeKey(buf []byte, pos int, prevKey int) byte {
+	return decodeKey(buf, pos, buf[pos], prevKey)
 }
 
 // nodeValueOffset returns the offset of the value bytes relative to the node
@@ -229,11 +238,33 @@ func putValue(buf []byte, pos int, v uint64) {
 	binary.LittleEndian.PutUint64(buf[pos:], v)
 }
 
-// ---- T-Node geometry -------------------------------------------------------
+// ---- table-driven node geometry ----------------------------------------------
+//
+// Every fixed size or offset of a node is a function of its header byte
+// alone, so each quantity is one 256-entry table indexed by the header byte.
+// The tables are built once, at package initialisation, from the spec*
+// functions below, which spell the encoding out branch by branch and have no
+// other caller. Every entry is >= 1 (a node has at least its header byte):
+// the scans rely on that to advance on whatever bytes a torn read shows them.
+var (
+	// nodeBodyOffTab: header + explicit key byte + value, i.e. the offset of
+	// whatever follows them — the jump successor field of a T-Node, the child
+	// data of an S-Node.
+	nodeBodyOffTab [256]uint8
+	// tHeadSizeTab: the T-Node itself, nodeBodyOffTab plus its jump
+	// successor field and jump table.
+	tHeadSizeTab [256]uint8
+)
 
-// tNodeJSOffset returns the offset (relative to the node header) of the jump
-// successor field.
-func tNodeJSOffset(hdr byte) int {
+func init() {
+	for h := 0; h < 256; h++ {
+		nodeBodyOffTab[h] = uint8(specNodeBodyOffset(byte(h)))
+		tHeadSizeTab[h] = uint8(specTNodeHeadSize(byte(h)))
+	}
+}
+
+// specNodeBodyOffset generates nodeBodyOffTab.
+func specNodeBodyOffset(hdr byte) int {
 	off := 1 + nodeKeyLen(hdr)
 	if nodeHasValue(hdr) {
 		off += valueSize
@@ -241,26 +272,32 @@ func tNodeJSOffset(hdr byte) int {
 	return off
 }
 
-// tNodeJTOffset returns the offset (relative to the node header) of the jump
-// table.
-func tNodeJTOffset(hdr byte) int {
-	off := tNodeJSOffset(hdr)
+// specTNodeHeadSize generates tHeadSizeTab.
+func specTNodeHeadSize(hdr byte) int {
+	size := specNodeBodyOffset(hdr)
 	if tHasJS(hdr) {
-		off += jsSize
+		size += jsSize
 	}
-	return off
-}
-
-// tNodeHeadSize returns the total number of bytes of the T-Node itself
-// (header, key, value, jump successor, jump table) excluding its S-Node
-// children.
-func tNodeHeadSize(hdr byte) int {
-	size := tNodeJTOffset(hdr)
 	if tHasJT(hdr) {
 		size += tJTSize
 	}
 	return size
 }
+
+// ---- T-Node geometry -------------------------------------------------------
+
+// tNodeJSOffset returns the offset (relative to the node header) of the jump
+// successor field.
+func tNodeJSOffset(hdr byte) int { return int(nodeBodyOffTab[hdr]) }
+
+// tNodeJTOffset returns the offset (relative to the node header) of the jump
+// table: past the jump successor field when the node has one (bit 6).
+func tNodeJTOffset(hdr byte) int { return int(nodeBodyOffTab[hdr]) + int(hdr>>6&1)*jsSize }
+
+// tNodeHeadSize returns the total number of bytes of the T-Node itself
+// (header, key, value, jump successor, jump table) excluding its S-Node
+// children.
+func tNodeHeadSize(hdr byte) int { return int(tHeadSizeTab[hdr]) }
 
 // tNodeJS reads the jump successor distance (0 = invalid/absent value).
 func tNodeJS(buf []byte, pos int) int {
@@ -304,29 +341,36 @@ func setTNodeJTEntry(buf []byte, pos, i int, key byte, off int) {
 
 // sNodeChildOffset returns the offset (relative to the node header) of the
 // child data (HP, embedded container or PC node).
-func sNodeChildOffset(hdr byte) int {
-	off := 1 + nodeKeyLen(hdr)
-	if nodeHasValue(hdr) {
-		off += valueSize
-	}
-	return off
+func sNodeChildOffset(hdr byte) int { return int(nodeBodyOffTab[hdr]) }
+
+// sChildGeom gives, per S-Node child kind, how the size of the child data
+// derives from the byte at the child offset: a fixed part, plus the bits of
+// that byte lenMask selects, plus the bit of that byte >> 4 valMask selects
+// (bit 7, the PC value flag, lands on valueSize = 8).
+var sChildGeom = [4]struct{ fixed, lenMask, valMask uint8 }{
+	childNone:     {0, 0, 0},
+	childHP:       {hpSize, 0, 0},
+	childEmbedded: {0, 0xff, 0},         // the size byte counts itself
+	childPC:       {1, 0x7f, valueSize}, // pcSize: header, suffix, value
 }
 
-// sNodeSize returns the total byte size of the S-Node at pos including its
-// child data.
+// sNodeSize returns the total byte size (>= 1) of the S-Node at pos including
+// its child data, selected from the two kind bits with sChildGeom's masks
+// rather than a switch.
+//
+// Only the embedded and PC kinds (bit 7 set) have a length byte at the child
+// offset. For the other two the load is pulled back by one, onto the last
+// byte of the node itself, and masked out — so a childless S-Node that ends
+// exactly at len(buf) is sized without reading past the buffer, while a
+// truncated embedded or PC child still fails the bounds check.
+//
+//hyperion:noalloc
 func sNodeSize(buf []byte, pos int) int {
 	hdr := buf[pos]
-	size := sNodeChildOffset(hdr)
-	switch sChildKind(hdr) {
-	case childNone:
-	case childHP:
-		size += hpSize
-	case childEmbedded:
-		size += int(buf[pos+size])
-	case childPC:
-		size += pcSize(buf, pos+size)
-	}
-	return size
+	off := int(nodeBodyOffTab[hdr])
+	b := buf[pos+off-1+int(hdr>>7)]
+	g := &sChildGeom[hdr>>6]
+	return off + int(g.fixed) + int(b&g.lenMask) + int(b>>4&g.valMask)
 }
 
 // ---- path-compressed nodes -------------------------------------------------

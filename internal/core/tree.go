@@ -176,12 +176,7 @@ func (t *Tree) Find(key []byte) (value uint64, hasValue bool, exists bool) {
 	hp := t.rootHP
 	rest := key
 	for {
-		var buf []byte
-		if t.alloc.IsChained(hp) {
-			buf, _ = t.alloc.ResolveChained(hp, rest[0])
-		} else {
-			buf = t.alloc.Resolve(hp)
-		}
+		buf, _ := t.alloc.ResolveChained(hp, rest[0])
 		v, hv, ex, nextHP, nextRest := t.findInStream(buf, topRegion(buf), rest, true)
 		if nextHP.IsNil() {
 			return v, hv, ex

@@ -58,7 +58,9 @@ func roundExtended(size int) int {
 const targetBlockBytes = 8192
 
 // blockChunksFor returns the number of chunks per backing block for a size
-// class (a power of two so blocks align with bitmap words where possible).
+// class: a power of two that divides ChunksPerBin, so blocks align with bitmap
+// words where possible and a chunk index splits into block and slot with a
+// shift and a mask (bin.blockShift, bin.blockMask) instead of two divisions.
 func blockChunksFor(chunkSize int) int {
 	bc := 4
 	for bc < 256 && bc*chunkSize < targetBlockBytes {
@@ -73,11 +75,25 @@ func blockChunksFor(chunkSize int) int {
 // published atomically, so lock-free readers can resolve a chunk without
 // observing a torn slice header; only Alloc materialises missing blocks.
 type bin struct {
-	blocks      []atomic.Pointer[[]byte]
-	blockChunks int
-	used        [ChunksPerBin / 64]uint64
-	usedCount   int
-	liveBlocks  int
+	blocks []atomic.Pointer[[]byte]
+	// A chunk lives in block chunk>>blockShift at slot chunk&blockMask; both
+	// are fixed at bin creation from the class's blockChunksFor.
+	blockShift uint8
+	blockMask  int
+	used       [ChunksPerBin / 64]uint64
+	usedCount  int
+	liveBlocks int
+}
+
+// blockChunks returns the number of chunks per backing block.
+func (b *bin) blockChunks() int { return b.blockMask + 1 }
+
+func newBin(blockChunks int) *bin {
+	return &bin{
+		blocks:     make([]atomic.Pointer[[]byte], ChunksPerBin/blockChunks),
+		blockShift: uint8(bits.TrailingZeros(uint(blockChunks))),
+		blockMask:  blockChunks - 1,
+	}
 }
 
 func (b *bin) isFull() bool { return b.usedCount == ChunksPerBin }
@@ -292,8 +308,7 @@ func (a *Allocator) ensureBin(sb *superbin, mb *metabin, id int) *bin {
 		grew = true
 	}
 	if bs[id] == nil {
-		bc := blockChunksFor(sb.chunkSize)
-		b := &bin{blockChunks: bc, blocks: make([]atomic.Pointer[[]byte], ChunksPerBin/bc)}
+		b := newBin(blockChunksFor(sb.chunkSize))
 		bs[id] = b
 		mb.numBins++
 		mb.markNonFull(id, true)
@@ -469,16 +484,16 @@ func (a *Allocator) Alloc(size int) (HP, []byte) {
 // chunkSlice returns the backing slice of a small chunk, materialising the
 // block if needed. Writer-only: lock-free readers go through chunkRO.
 func (a *Allocator) chunkSlice(sb *superbin, b *bin, chunk int) []byte {
-	blockID := chunk / b.blockChunks
+	blockID := chunk >> b.blockShift
 	bp := b.blocks[blockID].Load()
 	if bp == nil {
-		blk := make([]byte, b.blockChunks*sb.chunkSize)
+		blk := make([]byte, b.blockChunks()*sb.chunkSize)
 		b.blocks[blockID].Store(&blk)
 		b.liveBlocks++
 		a.slabBytes += int64(len(blk))
 		bp = &blk
 	}
-	off := (chunk % b.blockChunks) * sb.chunkSize
+	off := (chunk & b.blockMask) * sb.chunkSize
 	return (*bp)[off : off+sb.chunkSize : off+sb.chunkSize]
 }
 
@@ -487,12 +502,11 @@ func (a *Allocator) chunkSlice(sb *superbin, b *bin, chunk int) []byte {
 // error for writers and a recoverable torn-read signal for optimistic
 // readers, so it panics either way.
 func (b *bin) chunkRO(hp HP, chunkSize, chunk int) []byte {
-	blockID := chunk / b.blockChunks
-	bp := b.blocks[blockID].Load()
+	bp := b.blocks[chunk>>b.blockShift].Load()
 	if bp == nil {
 		panic(fmt.Sprintf("memman: dangling %v (released block)", hp))
 	}
-	off := (chunk % b.blockChunks) * chunkSize
+	off := (chunk & b.blockMask) * chunkSize
 	return (*bp)[off : off+chunkSize : off+chunkSize]
 }
 
@@ -511,26 +525,37 @@ func (a *Allocator) locate(hp HP) (*superbin, *metabin, int) {
 	return sb, mbs[mbID], hp.Bin()
 }
 
-// Resolve translates a (non-chained) HP into its backing byte slice. It does
-// not mutate allocator state and is safe for pinned lock-free readers.
-func (a *Allocator) Resolve(hp HP) []byte {
-	sb, mb, binID := a.locate(hp)
-	if sb.field == extendedSB {
-		eb := mb.extBin(binID)
-		if eb == nil {
-			panic(fmt.Sprintf("memman: dangling %v (no extended bin)", hp))
-		}
-		e := eb.at(hp.Chunk())
-		if !e.inUse {
-			panic(fmt.Sprintf("memman: dangling %v (freed extended entry)", hp))
-		}
-		return e.buffer()
+// liveExtEntry returns the in-use extended record behind hp, panicking on a
+// dangling reference like locate does.
+func liveExtEntry(mb *metabin, binID int, hp HP) *extEntry {
+	eb := mb.extBin(binID)
+	if eb == nil {
+		panic(fmt.Sprintf("memman: dangling %v (no extended bin)", hp))
 	}
+	e := eb.at(hp.Chunk())
+	if !e.inUse {
+		panic(fmt.Sprintf("memman: dangling %v (freed extended entry)", hp))
+	}
+	return e
+}
+
+// liveChunk returns the bytes of the in-use small chunk behind hp.
+func liveChunk(sb *superbin, mb *metabin, binID int, hp HP) []byte {
 	b := mb.bin(binID)
 	if b == nil || !b.inUse(hp.Chunk()) {
 		panic(fmt.Sprintf("memman: dangling %v (freed chunk)", hp))
 	}
 	return b.chunkRO(hp, sb.chunkSize, hp.Chunk())
+}
+
+// Resolve translates a (non-chained) HP into its backing byte slice. It does
+// not mutate allocator state and is safe for pinned lock-free readers.
+func (a *Allocator) Resolve(hp HP) []byte {
+	sb, mb, binID := a.locate(hp)
+	if sb.field == extendedSB {
+		return liveExtEntry(mb, binID, hp).buffer()
+	}
+	return liveChunk(sb, mb, binID, hp)
 }
 
 // Capacity returns the granted capacity behind hp without touching the data.
@@ -585,15 +610,15 @@ func (a *Allocator) reallyFree(hp HP) {
 	a.allocatedSm--
 	a.requestedSm -= int64(sb.chunkSize) // approximation: requested size not tracked per chunk
 	mb.markNonFull(binID, true)
-	a.maybeReleaseBlock(sb, b, hp.Chunk())
+	a.maybeReleaseBlock(b, hp.Chunk())
 }
 
 // maybeReleaseBlock returns a block's backing memory to the runtime once none
 // of its chunks are in use, so transient passage of growing containers
 // through a size class does not pin memory (the paper's mmap'ed segments get
 // this for free from the OS).
-func (a *Allocator) maybeReleaseBlock(sb *superbin, b *bin, chunk int) {
-	blockID := chunk / b.blockChunks
+func (a *Allocator) maybeReleaseBlock(b *bin, chunk int) {
+	blockID := chunk >> b.blockShift
 	if blockID >= len(b.blocks) {
 		return
 	}
@@ -601,7 +626,8 @@ func (a *Allocator) maybeReleaseBlock(sb *superbin, b *bin, chunk int) {
 	if bp == nil {
 		return
 	}
-	for c := blockID * b.blockChunks; c < (blockID+1)*b.blockChunks; c++ {
+	first := chunk &^ b.blockMask
+	for c := first; c <= first+b.blockMask; c++ {
 		if b.inUse(c) {
 			return
 		}
@@ -609,7 +635,6 @@ func (a *Allocator) maybeReleaseBlock(sb *superbin, b *bin, chunk int) {
 	a.slabBytes -= int64(len(*bp))
 	b.blocks[blockID].Store(nil)
 	b.liveBlocks--
-	_ = sb
 }
 
 // Realloc grows or shrinks the allocation behind hp to newSize bytes and

@@ -34,6 +34,42 @@ func TestRoundExtended(t *testing.T) {
 	}
 }
 
+// TestBlockAddressingIsDivisionFree pins what the shift/mask block addressing
+// relies on: for every small size class blockChunksFor is a power of two that
+// divides ChunksPerBin, and chunkSlice/chunkRO address exactly the bytes the
+// quotient/remainder form (block chunk/bc, offset chunk%bc*size) addresses,
+// checked at the edges of the first two blocks and of the last one.
+func TestBlockAddressingIsDivisionFree(t *testing.T) {
+	for field := 0; field < extendedSB; field++ {
+		size := classChunkSize(field)
+		bc := blockChunksFor(size)
+		if bc <= 0 || bc&(bc-1) != 0 || ChunksPerBin%bc != 0 {
+			t.Fatalf("class %d B: blockChunksFor = %d, want a power of two dividing %d", size, bc, ChunksPerBin)
+		}
+		a := &Allocator{}
+		sb := &superbin{field: field, chunkSize: size}
+		b := newBin(bc)
+		if len(b.blocks) != ChunksPerBin/bc || b.blockChunks() != bc {
+			t.Fatalf("class %d B: bin has %d blocks of %d chunks, want %d of %d", size, len(b.blocks), b.blockChunks(), ChunksPerBin/bc, bc)
+		}
+		for _, chunk := range []int{0, 1, bc - 1, bc, bc + 1, 2*bc - 1, 2 * bc, ChunksPerBin - bc - 1, ChunksPerBin - bc, ChunksPerBin - 1} {
+			rw := a.chunkSlice(sb, b, chunk)
+			ro := b.chunkRO(MakeHP(field, 0, 0, chunk), size, chunk)
+			blk := *b.blocks[chunk/bc].Load()
+			want := blk[chunk%bc*size : chunk%bc*size+size]
+			if len(blk) != bc*size {
+				t.Fatalf("class %d B: block of %d bytes, want %d", size, len(blk), bc*size)
+			}
+			for _, got := range [][]byte{rw, ro} { // chunkSlice, chunkRO
+				if &got[0] != &want[0] || len(got) != size || cap(got) != size {
+					t.Fatalf("class %d B chunk %d: got len %d cap %d at %p, want len=cap=%d at %p",
+						size, chunk, len(got), cap(got), &got[0], size, &want[0])
+				}
+			}
+		}
+	}
+}
+
 func TestAllocNeverReturnsNilHP(t *testing.T) {
 	a := New()
 	for i := 0; i < 100; i++ {

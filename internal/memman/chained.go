@@ -157,13 +157,23 @@ func (a *Allocator) ClearChainedSlot(hp HP, slot int) {
 	e.requested = 0
 }
 
-// ResolveChained maps a T-Node key byte onto the split container responsible
+// ResolveChained resolves hp for a walk that continues with the T-Node key
+// byte key, locating it once whatever it turns out to be. For the head of a
+// chained extended bin it maps the key onto the split container responsible
 // for it (paper §3.3): the candidate slot is key/32, and void slots are
-// skipped downwards until a populated one is found. It returns the buffer and
-// the slot index that answered. Read-only; safe for pinned lock-free readers.
+// skipped downwards until a populated one is found; it returns that buffer
+// and the slot index that answered. For any other HP it is Resolve, and the
+// slot is -1. Read-only; safe for pinned lock-free readers.
 func (a *Allocator) ResolveChained(hp HP, key byte) ([]byte, int) {
-	start := int(key) / 32
-	for slot := start; slot >= 0; slot-- {
+	sb, mb, binID := a.locate(hp)
+	if sb.field != extendedSB {
+		return liveChunk(sb, mb, binID, hp), -1
+	}
+	e := liveExtEntry(mb, binID, hp)
+	if !e.chainHead {
+		return e.buffer(), -1
+	}
+	for slot := int(key) / 32; slot >= 0; slot-- {
 		if buf := a.ChainedSlot(hp, slot); buf != nil {
 			return buf, slot
 		}

@@ -61,6 +61,29 @@ func TestSetAndResolveChainedSlots(t *testing.T) {
 	}
 }
 
+// TestResolveChainedOnPlainHP: for an HP that is not a chain head (small or
+// extended) ResolveChained is Resolve and reports slot -1, and it panics on
+// the same dangling references.
+func TestResolveChainedOnPlainHP(t *testing.T) {
+	a := New()
+	for _, size := range []int{32, 2016, 5000} {
+		hp, want := a.Alloc(size)
+		got, slot := a.ResolveChained(hp, 200)
+		if slot != -1 || &got[0] != &want[0] || len(got) != len(want) {
+			t.Fatalf("ResolveChained(plain %d B) = %d bytes, slot %d; want Resolve's %d bytes, slot -1", size, len(got), slot, len(want))
+		}
+		a.Free(hp)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ResolveChained of a freed %d B allocation must panic", size)
+				}
+			}()
+			a.ResolveChained(hp, 200)
+		}()
+	}
+}
+
 func TestSetChainedSlotGrowsInPlace(t *testing.T) {
 	a := New()
 	hp := a.AllocChained()

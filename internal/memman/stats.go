@@ -50,7 +50,7 @@ func (a *Allocator) Stats() Stats {
 				if b := mb.bin(binID); b != nil {
 					// Empty chunks (external fragmentation) are counted only
 					// for blocks whose backing memory exists.
-					backed := b.liveBlocks * b.blockChunks
+					backed := b.liveBlocks * b.blockChunks()
 					st.AllocatedChunks += int64(b.usedCount)
 					st.EmptyChunks += int64(backed - b.usedCount)
 					st.AllocatedBytes += int64(b.usedCount * chunkSize)
