@@ -17,11 +17,11 @@ package hyperion
 // Recovery (Open) is "load newest snapshot, replay the WAL tail through the
 // bulk-ingest fast path": the checkpoint snapshot (checkpoint.hyp in the WAL
 // directory) is loaded first, then each shard's surviving segments are
-// replayed with last-op-wins per-key deduplication and the net result is fed
-// through BulkLoad/PutKey/Delete. A torn or corrupt tail of the newest
-// segment is truncated cleanly (a crash legitimately leaves one); the same
-// damage anywhere else surfaces wal.ErrCorruptWAL — never a panic, never
-// silently invented data.
+// replayed, one shard per worker: the tail is reduced to each key's net
+// effect and fed to the shard's arena through writeRun/PutKey/Delete. A torn
+// or corrupt tail of the newest segment is truncated cleanly (a crash
+// legitimately leaves one); the same damage anywhere else surfaces
+// wal.ErrCorruptWAL — never a panic, never silently invented data.
 //
 // Checkpoint invariant: Checkpoint rotates every shard's log (so records
 // enqueued before it live in segments strictly below a per-shard boundary),
@@ -35,8 +35,8 @@ package hyperion
 //     survivors are a suffix). The snapshot is per-key consistent at a point
 //     at or after the boundary, and replaying any log suffix that starts at
 //     or before a key's snapshot state re-applies that key's final
-//     operations — last-op-wins makes the replay converge to the pre-crash
-//     state.
+//     operations — replaying each key's net effect makes the replay converge
+//     to the pre-crash state.
 //
 // Record payloads are sequences of operations:
 //
@@ -178,135 +178,267 @@ func Open(opts Options) (*Store, error) {
 }
 
 // replayWAL replays the WAL directory's surviving segments into the store
-// (which holds the checkpoint snapshot state, or nothing). Replay is
-// two-phase — decode and dedup everything first, apply second — so a corrupt
-// log is detected before the store is touched.
+// (which holds the checkpoint snapshot state, or nothing). Shards never share
+// keys, so each on-disk shard is one independent task on the worker pool, and
+// replay runs in two phases, each parallel across shards: phase 1 decodes a
+// shard's tail and reduces it to its net effect (readTail), phase 2 applies
+// that effect to the shard's arena (applyTail). Every shard's phase-1 error is
+// checked before phase 2 starts, so a corrupt log is detected before the
+// store is touched.
 func (s *Store) replayWAL() error {
-	dir := s.opts.WALDir
-	shardsOnDisk, err := wal.ListShards(dir)
+	shardsOnDisk, err := wal.ListShards(s.opts.WALDir)
 	if err != nil {
 		return err
 	}
-	if len(shardsOnDisk) == 0 {
-		return nil
-	}
-
-	// Phase 1: per shard, reduce the tail to its net effect — the final
-	// operation per key (shards never share keys, so per-shard tails compose)
-	// plus whether a clear wiped the shard mid-tail. Records are collected
-	// into a flat key arena and deduplicated by one sort (key, then arrival
-	// order) instead of a per-key map: the map's hashing and per-key string
-	// allocation dominated replay time, and the sort doubles as the ordering
-	// BulkLoad needs anyway.
-	type tailRec struct {
-		off, n int // key bytes in keybuf
-		idx    int // arrival order; the tie-break that makes last-op win
-		kind   byte
-		value  uint64
-	}
-	type shardTail struct {
-		shard   int
-		cleared bool
-		keybuf  []byte
-		recs    []tailRec
-	}
-	var tails []shardTail
-	for _, shardID := range shardsOnDisk {
-		if shardID >= len(s.shards) {
-			// Segments from a store generation with more arenas. Harmless
-			// only if they replay to nothing (a checkpoint under the old
-			// count leaves one empty segment per shard); any surviving
-			// record cannot be replayed under this routing.
-			info, err := wal.Replay(dir, shardID, func([]byte) error { return nil })
-			if err != nil {
-				return err
-			}
-			if info.Records > 0 {
-				return fmt.Errorf("%w: %d records exist for shard %d, store has %d arenas", ErrWALArenaMismatch, info.Records, shardID, len(s.shards))
-			}
-			if err := wal.RemoveShard(dir, shardID); err != nil {
-				return err
-			}
-			continue
-		}
-		tail := shardTail{shard: shardID}
-		info, err := wal.Replay(dir, shardID, func(payload []byte) error {
-			return decodeWalOps(payload, func(kind byte, key []byte, value uint64) {
-				if kind == walOpClear {
-					tail.cleared = true
-					tail.keybuf = tail.keybuf[:0]
-					tail.recs = tail.recs[:0]
-					return
-				}
-				tail.recs = append(tail.recs, tailRec{off: len(tail.keybuf), n: len(key), idx: len(tail.recs), kind: kind, value: value})
-				tail.keybuf = append(tail.keybuf, key...)
-			})
-		})
+	tails := make([]shardTail, len(shardsOnDisk))
+	errs := make([]error, len(shardsOnDisk))
+	s.runIndexed(len(shardsOnDisk), func(i int) {
+		errs[i] = s.readTail(shardsOnDisk[i], &tails[i])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		// Record-less segments (the empty tail a checkpoint under another
-		// arena count leaves) impose no ordering and are ignored; any actual
-		// record written under a different routing cannot be replayed.
-		if info.Records > 0 && info.Arenas != len(s.shards) {
-			return fmt.Errorf("%w: segments record %d arenas, store has %d", ErrWALArenaMismatch, info.Arenas, len(s.shards))
-		}
-		tails = append(tails, tail)
 	}
+	s.runIndexed(len(shardsOnDisk), func(i int) {
+		if shardsOnDisk[i] < len(s.shards) {
+			s.applyTail(s.shards[shardsOnDisk[i]], &tails[i])
+		}
+	})
+	return nil
+}
 
-	// Phase 2: apply. Clears first (they precede every surviving op of their
-	// shard), then per shard sort the records by key with arrival order as the
-	// tie-break and keep only the last record of each equal-key run — the same
-	// last-op-wins reduction a map would compute, without its hashing or
-	// per-key allocations. The surviving puts go through the bulk-ingest fast
-	// path (one global sorted run, arenas loading in parallel), then the
-	// stragglers. Keys alias each tail's arena; BulkLoad/PutKey/Delete copy
-	// what they keep. No shard has a log attached yet, so nothing here is
-	// re-logged.
-	var pairs []Pair
-	var putKeys, deletes [][]byte
-	for ti := range tails {
-		tail := &tails[ti]
-		if tail.cleared {
-			s.clearShard(s.shards[tail.shard])
-		}
-		buf := tail.keybuf
-		slices.SortFunc(tail.recs, func(a, b tailRec) int {
-			if c := bytes.Compare(buf[a.off:a.off+a.n], buf[b.off:b.off+b.n]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.idx, b.idx)
-		})
-		for i, rec := range tail.recs {
-			if i+1 < len(tail.recs) {
-				next := tail.recs[i+1]
-				if bytes.Equal(buf[rec.off:rec.off+rec.n], buf[next.off:next.off+next.n]) {
-					continue // a later op on the same key supersedes this one
-				}
-			}
-			key := buf[rec.off : rec.off+rec.n]
-			switch rec.kind {
-			case walOpPut:
-				pairs = append(pairs, Pair{Key: key, Value: rec.value})
-			case walOpPutKey:
-				putKeys = append(putKeys, key)
-			case walOpDelete:
-				deletes = append(deletes, key)
-			}
-		}
+// shardTail is one shard's WAL tail: whether a clear wiped the shard, and
+// every operation logged after the last clear, in arrival order. Keys live in
+// one flat arena instead of a slice each.
+type shardTail struct {
+	cleared bool
+	keybuf  []byte
+	recs    []tailRec
+}
+
+// tailRec is one logged put, putkey or delete of a shard's tail, 32 bytes.
+// word holds eight key bytes inline (keyWord): the first eight on arrival,
+// later ones while sortTail breaks ties. Every record appends its key plus
+// one byte to keybuf, so off strictly increases with arrival and doubles as
+// the last-op-wins tie-break; it stays an int, so a tail of any size
+// replays. n cannot overflow: a key lies inside one record payload, which
+// replay bounds by wal.MaxRecord.
+type tailRec struct {
+	word  uint64
+	off   int // key bytes are keybuf[off : off+n]
+	value uint64
+	n     uint32
+	kind  byte
+}
+
+func (t *shardTail) key(r *tailRec) []byte { return t.keybuf[r.off : r.off+int(r.n)] }
+
+// add records one decoded operation; a clear discards everything before it.
+func (t *shardTail) add(kind byte, key []byte, value uint64) {
+	if kind == walOpClear {
+		t.cleared = true
+		t.keybuf, t.recs = t.keybuf[:0], t.recs[:0]
+		return
 	}
-	// Shards never share keys and each tail contributed a sorted run, so with
-	// one shard this final pass is already-sorted (near free); with several it
-	// merges the runs.
-	slices.SortFunc(pairs, func(a, b Pair) int { return bytes.Compare(a.Key, b.Key) })
-	s.BulkLoad(pairs)
-	for _, k := range putKeys {
-		s.PutKey(k)
+	// Grow by doubling: append's 1.25× steps for large slices would copy a
+	// long tail several times over.
+	if len(t.recs) == cap(t.recs) {
+		t.recs = slices.Grow(t.recs, len(t.recs))
 	}
-	for _, k := range deletes {
-		s.Delete(k)
+	if need := len(key) + 1; cap(t.keybuf)-len(t.keybuf) < need {
+		t.keybuf = slices.Grow(t.keybuf, max(len(t.keybuf), need))
+	}
+	t.recs = append(t.recs, tailRec{word: keyWord(key), off: len(t.keybuf), value: value, n: uint32(len(key)), kind: kind})
+	t.keybuf = append(append(t.keybuf, key...), kind)
+}
+
+// keyWord packs b's first eight bytes big-endian, zero-padded, so that
+// comparing words as integers agrees with bytes.Compare whenever they differ.
+func keyWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	var w [8]byte
+	copy(w[:], b)
+	return binary.BigEndian.Uint64(w[:])
+}
+
+// readTail is replay phase 1 for one on-disk shard: decode its surviving
+// segments into t and check that they were written under this store's
+// routing.
+func (s *Store) readTail(shardID int, t *shardTail) error {
+	dir := s.opts.WALDir
+	if shardID >= len(s.shards) {
+		// Segments from a store generation with more arenas. Harmless only
+		// if they replay to nothing (a checkpoint under the old count leaves
+		// one empty segment per shard); any surviving record cannot be
+		// replayed under this routing.
+		info, err := wal.Replay(dir, shardID, func([]byte) error { return nil })
+		if err != nil {
+			return err
+		}
+		if info.Records > 0 {
+			return fmt.Errorf("%w: %d records exist for shard %d, store has %d arenas", ErrWALArenaMismatch, info.Records, shardID, len(s.shards))
+		}
+		return wal.RemoveShard(dir, shardID)
+	}
+	info, err := wal.Replay(dir, shardID, func(payload []byte) error {
+		return decodeWalOps(payload, t.add)
+	})
+	if err != nil {
+		return err
+	}
+	// Record-less segments (the empty tail a checkpoint under another arena
+	// count leaves) impose no ordering and are ignored; any actual record
+	// written under a different routing cannot be replayed.
+	if info.Records > 0 && info.Arenas != len(s.shards) {
+		return fmt.Errorf("%w: segments record %d arenas, store has %d", ErrWALArenaMismatch, info.Arenas, len(s.shards))
 	}
 	return nil
+}
+
+// applyTail is replay phase 2 for one shard: the clear first (it precedes
+// every surviving op), then each key's net effect. The surviving puts form
+// one strictly increasing run, so they go to the arena through writeRun, the
+// bulk-ingest path BulkLoad uses per arena; putkeys and deletes follow per
+// key. Keys alias t.keybuf; the tree copies what it keeps. No shard has a log
+// attached yet, so nothing here is re-logged.
+func (s *Store) applyTail(sh *shard, t *shardTail) {
+	if t.cleared {
+		s.clearShard(sh)
+	}
+	sortTail(t.recs, t.keybuf)
+	// Reduce each equal-key run to its net effect, compacted to the front of
+	// recs: the last op wins, except that a putkey keeps the value of a key
+	// that has one, so a trailing putkey defers to the latest put or delete
+	// before it. A put wins outright; a delete stays, followed by the
+	// putkey. Equal keys carry equal words, so differing words skip the key
+	// compare.
+	recs := t.recs[:0]
+	for lo := 0; lo < len(t.recs); {
+		hi := lo + 1
+		for hi < len(t.recs) && t.recs[hi].word == t.recs[lo].word && bytes.Equal(t.key(&t.recs[hi]), t.key(&t.recs[lo])) {
+			hi++
+		}
+		last := t.recs[hi-1]
+		if last.kind == walOpPutKey {
+			j := hi - 2
+			for j >= lo && t.recs[j].kind == walOpPutKey {
+				j--
+			}
+			if j >= lo && t.recs[j].kind == walOpPut {
+				last = t.recs[j]
+			} else if j >= lo {
+				recs = append(recs, t.recs[j])
+			}
+		}
+		recs = append(recs, last)
+		lo = hi
+	}
+	pairs := make([]Pair, 0, len(recs))
+	for i := range recs {
+		if r := &recs[i]; r.kind == walOpPut {
+			pairs = append(pairs, Pair{Key: t.key(r), Value: r.value})
+		}
+	}
+	if len(pairs) > 0 && len(pairs[0].Key) == 0 {
+		// The empty key sorts first and cannot enter the core bulk builder.
+		s.Put(pairs[0].Key, pairs[0].Value)
+		pairs = pairs[1:]
+	}
+	if len(pairs) > 0 {
+		s.writeRun(sh, pairs)
+	}
+	for i := range recs {
+		switch r := &recs[i]; r.kind {
+		case walOpPutKey:
+			s.PutKey(t.key(r))
+		case walOpDelete:
+			s.Delete(t.key(r))
+		}
+	}
+}
+
+// sortTail orders a tail's records by key (bytes.Compare order) and equal
+// keys by arrival (off): the order applyTail's reduction reads. It is a
+// radix sort on 8-byte key words, most significant word first. All records
+// are sorted by their inline first word; then every run of records with
+// equal words loads the next word of each key from keybuf and is sorted by
+// it, and so on while any key of the run goes on. A run's keys are read once
+// per word, where a comparison sort would read two keys per comparison that
+// the inline word cannot decide. Keys tied on every word up to their ends
+// are equal up to trailing zero bytes, so the shorter is the smaller; equal
+// lengths mean equal keys.
+func sortTail(recs []tailRec, keybuf []byte) {
+	tmp := make([]tailRec, len(recs))
+	sortByWord(recs, tmp)
+	type run struct{ lo, hi, level int } // recs[lo:hi] sorted by key word level
+	todo := []run{{0, len(recs), 0}}
+	for len(todo) > 0 {
+		r := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		for lo := r.lo; lo < r.hi; {
+			hi := lo + 1
+			for hi < r.hi && recs[hi].word == recs[lo].word {
+				hi++
+			}
+			if tie := recs[lo:hi]; len(tie) > 1 {
+				from, more := 8*(r.level+1), false
+				for i := range tie {
+					tie[i].word = 0
+					if k := keybuf[tie[i].off : tie[i].off+int(tie[i].n)]; len(k) > from {
+						tie[i].word, more = keyWord(k[from:]), true
+					}
+				}
+				if more {
+					sortByWord(tie, tmp)
+					todo = append(todo, run{lo, hi, r.level + 1})
+				} else {
+					slices.SortFunc(tie, func(a, b tailRec) int {
+						return cmp.Or(cmp.Compare(a.n, b.n), cmp.Compare(a.off, b.off))
+					})
+				}
+			}
+			lo = hi
+		}
+	}
+}
+
+// sortByWord sorts g by word with tmp (at least as long) as scratch: a
+// least-significant-byte radix sort that skips the bytes all of g shares, or
+// a comparison sort where g is too short for 256-bucket passes to pay.
+func sortByWord(g, tmp []tailRec) {
+	if len(g) < 256 {
+		slices.SortFunc(g, func(a, b tailRec) int { return cmp.Compare(a.word, b.word) })
+		return
+	}
+	var counts [8][256]int
+	for i := range g {
+		for d := range counts {
+			counts[d][byte(g[i].word>>(8*d))]++
+		}
+	}
+	src, dst := g, tmp[:len(g)]
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(g[0].word>>(8*d))] == len(g) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for i := range src {
+			b := byte(src[i].word >> (8 * d))
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &g[0] {
+		copy(g, src)
+	}
 }
 
 // WALEnabled reports whether the store has a write-ahead log attached.

@@ -1,11 +1,13 @@
 package hyperion
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,11 @@ func checkState(t *testing.T, s *Store, want map[string]uint64, keyOnly map[stri
 	}
 }
 
+// spreadKey prefixes name with a leading byte that walks the whole byte
+// range as i grows, so a test's keys land in every arena rather than the one
+// or two their ASCII letters route to.
+func spreadKey(i int, name string) string { return string([]byte{byte(i * 97)}) + name }
+
 func TestWALDurabilityRoundTrip(t *testing.T) {
 	for _, arenas := range []int{1, 4} {
 		for _, preprocess := range []bool{false, true} {
@@ -59,34 +66,36 @@ func TestWALDurabilityRoundTrip(t *testing.T) {
 				keyOnly := map[string]bool{}
 				// Every write path: Put, PutKey, Delete, ApplyBatch, BulkLoad.
 				for i := 0; i < 200; i++ {
-					k := fmt.Sprintf("putkey-%04d", i)
+					k := spreadKey(i, fmt.Sprintf("putkey-%04d", i))
 					s.Put([]byte(k), uint64(i))
 					want[k] = uint64(i)
 				}
-				s.PutKey([]byte("bare-key"))
-				keyOnly["bare-key"] = true
-				s.Put([]byte("doomed"), 7)
-				s.Delete([]byte("doomed"))
+				bare, doomed := spreadKey(4, "bare-key"), spreadKey(2, "doomed")
+				s.PutKey([]byte(bare))
+				keyOnly[bare] = true
+				s.Put([]byte(doomed), 7)
+				s.Delete([]byte(doomed))
 				var ops []Op
 				for i := 0; i < 50; i++ {
-					k := fmt.Sprintf("batch-%04d", i)
+					k := spreadKey(i, fmt.Sprintf("batch-%04d", i))
 					ops = append(ops, Op{Kind: OpPut, Key: []byte(k), Value: uint64(1000 + i)})
 					want[k] = uint64(1000 + i)
 				}
-				ops = append(ops, Op{Kind: OpGet, Key: []byte("putkey-0000")}) // reads are not logged
-				ops = append(ops, Op{Kind: OpDelete, Key: []byte("putkey-0001")})
-				delete(want, "putkey-0001")
+				ops = append(ops, Op{Kind: OpGet, Key: []byte(spreadKey(0, "putkey-0000"))}) // reads are not logged
+				ops = append(ops, Op{Kind: OpDelete, Key: []byte(spreadKey(1, "putkey-0001"))})
+				delete(want, spreadKey(1, "putkey-0001"))
 				s.ApplyBatch(ops)
 				var pairs []Pair
 				for i := 0; i < 300; i++ {
-					k := fmt.Sprintf("vulk-%06d", i)
+					k := spreadKey(i, fmt.Sprintf("vulk-%06d", i))
 					pairs = append(pairs, Pair{Key: []byte(k), Value: uint64(i * 3)})
 					want[k] = uint64(i * 3)
 				}
+				slices.SortFunc(pairs, func(a, b Pair) int { return bytes.Compare(a.Key, b.Key) })
 				s.BulkLoad(pairs)
 				// Overwrite through a second path: last op wins after replay.
-				s.Put([]byte("vulk-000000"), 999)
-				want["vulk-000000"] = 999
+				s.Put([]byte(spreadKey(0, "vulk-000000")), 999)
+				want[spreadKey(0, "vulk-000000")] = 999
 
 				if err := s.Close(); err != nil {
 					t.Fatalf("Close: %v", err)
@@ -110,10 +119,10 @@ func TestWALClearSurvivesRestart(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 100; i++ {
-		s.Put([]byte(fmt.Sprintf("pre-%04d", i)), uint64(i))
+		s.Put([]byte(spreadKey(i, fmt.Sprintf("pre-%04d", i))), uint64(i))
 	}
 	s.Clear()
-	s.Put([]byte("after"), 1)
+	s.Put([]byte(spreadKey(2, "after")), 1)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -122,7 +131,7 @@ func TestWALClearSurvivesRestart(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	checkState(t, r, map[string]uint64{"after": 1}, nil)
+	checkState(t, r, map[string]uint64{spreadKey(2, "after"): 1}, nil)
 }
 
 func TestWALClearAfterCheckpoint(t *testing.T) {
@@ -134,13 +143,13 @@ func TestWALClearAfterCheckpoint(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 100; i++ {
-		s.Put([]byte(fmt.Sprintf("snap-%04d", i)), uint64(i))
+		s.Put([]byte(spreadKey(i, fmt.Sprintf("snap-%04d", i))), uint64(i))
 	}
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	s.Clear()
-	s.Put([]byte("post-clear"), 5)
+	s.Put([]byte(spreadKey(2, "post-clear")), 5)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -149,7 +158,7 @@ func TestWALClearAfterCheckpoint(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	checkState(t, r, map[string]uint64{"post-clear": 5}, nil)
+	checkState(t, r, map[string]uint64{spreadKey(2, "post-clear"): 5}, nil)
 }
 
 func TestWALCheckpointTruncatesSegments(t *testing.T) {
@@ -162,7 +171,7 @@ func TestWALCheckpointTruncatesSegments(t *testing.T) {
 	}
 	want := map[string]uint64{}
 	for i := 0; i < 2000; i++ {
-		k := fmt.Sprintf("key-%06d", i)
+		k := spreadKey(i, fmt.Sprintf("key-%06d", i))
 		s.Put([]byte(k), uint64(i))
 		want[k] = uint64(i)
 	}
@@ -179,8 +188,8 @@ func TestWALCheckpointTruncatesSegments(t *testing.T) {
 		t.Fatalf("checkpoint did not shrink the log: %d -> %d segments", preFiles, postFiles)
 	}
 	// Post-checkpoint writes land in the new tail.
-	s.Put([]byte("tail"), 42)
-	want["tail"] = 42
+	s.Put([]byte(spreadKey(2, "tail")), 42)
+	want[spreadKey(2, "tail")] = 42
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -244,7 +253,7 @@ func TestWALArenaMismatchRejectedAndCheckpointMigrates(t *testing.T) {
 	}
 	want := map[string]uint64{}
 	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("key-%04d", i)
+		k := spreadKey(i, fmt.Sprintf("key-%04d", i))
 		s.Put([]byte(k), uint64(i))
 		want[k] = uint64(i)
 	}
@@ -275,8 +284,8 @@ func TestWALArenaMismatchRejectedAndCheckpointMigrates(t *testing.T) {
 	checkState(t, r, want, nil)
 	// Shrinking works the same way; the empty segments shards 4..7 left
 	// behind are cleaned up, not treated as a mismatch.
-	r.Put([]byte("wide"), 8)
-	want["wide"] = 8
+	r.Put([]byte(spreadKey(2, "wide")), 8)
+	want[spreadKey(2, "wide")] = 8
 	if _, err := r.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint under 8 arenas: %v", err)
 	}

@@ -107,14 +107,15 @@ type ReplayInfo struct {
 // segment first, in append order — exactly the order Enqueue assigned.
 //
 // Damage handling draws one line: the newest segment's tail is where a crash
-// legitimately tears a write, so an incomplete frame, an impossible length or
-// a CRC mismatch there is truncated off (the file is physically shortened to
-// the last intact record) and replay succeeds with TruncatedTail set. The
-// same damage anywhere else — an older segment, or a gap in the segment
-// sequence — cannot be a torn tail: records after it were acknowledged, so
-// dropping them would silently lose durable writes. That is reported as an
-// error wrapping ErrCorruptWAL and nothing is modified. A panic is never the
-// answer: every length is bounds-checked before use.
+// legitimately tears a write, so an incomplete frame, an impossible length, a
+// length running past the end of the file or a CRC mismatch there is
+// truncated off (the file is physically shortened to the last intact record)
+// and replay succeeds with TruncatedTail set. The same damage anywhere else —
+// an older segment, or a gap in the segment sequence — cannot be a torn tail:
+// records after it were acknowledged, so dropping them would silently lose
+// durable writes. That is reported as an error wrapping ErrCorruptWAL and
+// nothing is modified. A panic is never the answer: every length is
+// bounds-checked before use.
 //
 // fn receives a payload slice that is only valid for the duration of the
 // call. An error from fn aborts the replay and is returned verbatim.
@@ -187,6 +188,11 @@ func replaySegment(path string, shard int, seq uint64, last bool, info *ReplayIn
 		return 0, err
 	}
 
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat segment: %w", err)
+	}
+
 	// Read the record stream through a buffered reader, tracking the offset
 	// of the last intact record end so a torn tail can be cut exactly there.
 	br := newByteScanner(f)
@@ -206,8 +212,13 @@ func replaySegment(path string, shard int, seq uint64, last bool, info *ReplayIn
 			bad = "torn record header"
 		} else {
 			payloadLen = int(binary.LittleEndian.Uint32(fh[0:4]))
-			if payloadLen == 0 || payloadLen > MaxRecord {
+			switch left := st.Size() - off - frameHeaderSize; {
+			case payloadLen == 0 || payloadLen > MaxRecord:
 				bad = fmt.Sprintf("impossible record length %d", payloadLen)
+			case int64(payloadLen) > left:
+				// Judged before the payload is read: a length past the end
+				// of the file must not size a buffer.
+				bad = fmt.Sprintf("torn record payload (%d of %d bytes)", left, payloadLen)
 			}
 		}
 		if bad == "" {
@@ -293,8 +304,12 @@ type byteScanner struct {
 	big []byte // spill buffer for payloads larger than buf
 }
 
+// scanBufSize is the byteScanner's buffer: payloads up to this size are lent
+// from it, larger ones get a spill buffer of their own size.
+const scanBufSize = 256 << 10
+
 func newByteScanner(r io.Reader) *byteScanner {
-	return &byteScanner{r: r, buf: make([]byte, 256<<10)}
+	return &byteScanner{r: r, buf: make([]byte, scanBufSize)}
 }
 
 // readFull copies exactly len(p) bytes into p, returning how many it got.
