@@ -12,7 +12,10 @@ import (
 // buffer) must not touch the heap, including with KeyPreprocessing enabled,
 // where the transformed key lives in a fixed stack scratch. A regression here
 // usually means something made the key or a descent structure escape again —
-// check `go build -gcflags=-m` before reaching for sync.Pool.
+// check `go build -gcflags=-m` before reaching for sync.Pool. Scans are the
+// one pooled path: Range/ScanPrefix/CountPrefix draw their cursor and buffers
+// from the scan-state pool (scan.go), and the TestZeroAlloc scan tests pin
+// that a warm scan allocates nothing.
 
 // loadedStore builds a store with n random integer keys and returns one of
 // the stored keys.
@@ -93,6 +96,86 @@ func TestZeroAllocApplyBatchInto(t *testing.T) {
 	}
 	if len(results) != len(ops) {
 		t.Fatalf("got %d results for %d ops", len(results), len(ops))
+	}
+}
+
+// scanAllocStores returns warm 8-arena stores, without and with key
+// pre-processing, holding string keys spread over every leading byte (about
+// 156 per leading byte, so one-byte prefixes span several scan chunks).
+func scanAllocStores() map[string]*Store {
+	out := map[string]*Store{}
+	for _, prep := range []bool{false, true} {
+		s := New(Options{Arenas: 8, KeyPreprocessing: prep, EmbeddedEjectThreshold: 8 * 1024})
+		for i := 0; i < 40_000; i++ {
+			s.Put(fmt.Appendf(nil, "%c%c/%05d", byte(i*7), 'a'+byte(i%26), i), uint64(i))
+		}
+		out[fmt.Sprintf("prep=%v", prep)] = s
+	}
+	return out
+}
+
+// scanAllocPrefixes covers every prefixBounds class: empty, one byte (exact
+// under pre-processing), two and three bytes (class envelope) and four or
+// more (transformed endpoints), plus an all-0xff prefix without a successor.
+var scanAllocPrefixes = [][]byte{nil, {0x70}, {0x70, 'c'}, {0x70, 'c', '/'}, []byte("\x70c/0"), {0xff, 0xff}}
+
+// requireNoScanAllocs skips on race builds, where sync.Pool drops pooled
+// items at random, and otherwise requires f to allocate nothing.
+func requireNoScanAllocs(t *testing.T, what string, f func()) {
+	t.Helper()
+	if !lockFreeBuild {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if n := testing.AllocsPerRun(50, f); n != 0 {
+		t.Errorf("%s allocates %v allocs/op, want 0", what, n)
+	}
+}
+
+// TestZeroAllocRange pins the scan-state pool: a warm Range of 100 keys —
+// several chunks, crossing an arena boundary — allocates nothing.
+func TestZeroAllocRange(t *testing.T) {
+	for name, s := range scanAllocStores() {
+		t.Run(name, func(t *testing.T) {
+			start := []byte("\x1f")
+			seen := 0
+			fn := func([]byte, uint64) bool { seen++; return seen%100 != 0 }
+			requireNoScanAllocs(t, "Range", func() { s.Range(start, fn) })
+			if seen == 0 || seen%100 != 0 {
+				t.Fatalf("Range stopped after %d keys, want multiples of 100", seen)
+			}
+		})
+	}
+}
+
+// TestZeroAllocScanPrefix pins the pooled prefix bounds and scan state.
+func TestZeroAllocScanPrefix(t *testing.T) {
+	for name, s := range scanAllocStores() {
+		t.Run(name, func(t *testing.T) {
+			seen := 0
+			fn := func([]byte, uint64) bool { seen++; return seen%1000 != 0 }
+			for _, p := range scanAllocPrefixes {
+				requireNoScanAllocs(t, fmt.Sprintf("ScanPrefix(%q)", p), func() { s.ScanPrefix(p, fn) })
+			}
+			if seen == 0 {
+				t.Fatal("ScanPrefix visited nothing")
+			}
+		})
+	}
+}
+
+// TestZeroAllocCountPrefix pins CountPrefix's pooled cursor, resume and
+// untransform scratch.
+func TestZeroAllocCountPrefix(t *testing.T) {
+	for name, s := range scanAllocStores() {
+		t.Run(name, func(t *testing.T) {
+			total := 0
+			for _, p := range scanAllocPrefixes {
+				requireNoScanAllocs(t, fmt.Sprintf("CountPrefix(%q)", p), func() { total += s.CountPrefix(p) })
+			}
+			if total == 0 {
+				t.Fatal("CountPrefix counted nothing")
+			}
+		})
 	}
 }
 

@@ -383,7 +383,9 @@ func (s *Store) runIndexed(n int, run func(i int)) {
 }
 
 // parallelScanChunk bounds how many pairs a scanning worker buffers before
-// handing them to the consumer.
+// handing them to the consumer. It is larger than scanChunkSize because its
+// chunks cross a channel to another goroutine: each one is a fresh
+// allocation and a send, which the bigger chunk amortises.
 const parallelScanChunk = 512
 
 // ParallelEach iterates every stored key in global lexicographic order, like
@@ -444,15 +446,18 @@ func (s *Store) ParallelEach(fn func(key []byte, value uint64) bool) {
 }
 
 // scanShard streams one shard's pairs into out in chunks (scanShardChunks in
-// scan.go: each chunk is snapshotted under the shard read lock and sent with
-// the lock released) and closes out when done. Chunks are freshly allocated
+// scan.go: each chunk is read through the seqlock-validated shard reader and
+// sent with nothing held) and closes out when done. The cursor and resume
+// buffers come from the scan-state pool, but chunks are freshly allocated
 // per send — they are in flight on the channel while the next one is built.
 func (s *Store) scanShard(i int, out chan<- *kvChunk, stop *atomic.Bool) {
 	defer close(out)
-	s.scanShardChunks(s.shards[i], nil, nil, parallelScanChunk, stop.Load,
+	st := getScanState()
+	s.scanShardChunks(s.shards[i], st, nil, nil, parallelScanChunk, stop.Load,
 		func() *kvChunk { return newKVChunk(parallelScanChunk) },
 		func(c *kvChunk) bool {
 			out <- c
 			return true
 		})
+	putScanState(st)
 }

@@ -507,42 +507,51 @@ func TestShardReadUnderWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardFindUnderChurn is the torn-read torture for shardFind, the one
-// reader whose protocol is open-coded: readers Get a fixed set of keys that
-// are never modified while one writer inserts and deletes their neighbours
-// in the same arena — keys that share every container on the stable keys'
-// paths, in waves large enough to grow the containers through the size
-// classes (realloc), eject embedded containers and build, grow and hole both
-// kinds of jump table under the readers' feet. Every read must return the
-// key's one value: a miss or any other value is a torn walk that the seqlock
-// validation or the recover barrier let through. Lock-free builds only (the
-// race build's shardFind is a plain RLock).
-func TestShardFindUnderChurn(t *testing.T) {
+// fnvValue gives every key one value, a function of its bytes (FNV-1a), so
+// a reader can check any pair it sees on its own.
+func fnvValue(k []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range k {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// churnGroups and churnSuffixes shape underChurn's never-modified keys: group
+// g holds "g<g>" plus each suffix, in sorted order.
+const churnGroups = 6
+
+var churnSuffixes = []string{"", "/", "/st", "/stable", "/stable/and/a/long/path/compressed/tail", "/zz"}
+
+// underChurn is the torn-read torture for the optimistic readers: readers
+// call read over a fixed set of keys that are never modified (stable, group
+// g at stable[g*len(churnSuffixes):], each key carrying fnvValue) while one
+// writer inserts and deletes their neighbours in the same arena — keys that
+// share every container on the stable keys' paths, in waves large enough to
+// grow the containers through the size classes (realloc), eject embedded
+// containers and build, grow and hole both kinds of jump table under the
+// readers' feet. read returns a description of anything wrong it saw: a torn
+// walk that the seqlock validation or the recover barrier let through.
+// Lock-free builds only (on race builds every read is a plain RLock).
+func underChurn(t *testing.T, read func(s *Store, stable [][]byte, i int) string) {
+	t.Helper()
 	s := New(DefaultOptions()) // one arena: everything churns in the same tree
 	if s.ReadLockMode() != "epoch" {
-		t.Skip("shardFind is only optimistic on lock-free (non-race) builds")
+		t.Skip("reads are only optimistic on lock-free (non-race) builds")
 	}
 	const (
-		groups  = 6
 		perWave = 64 * 48 // neighbours per group and wave: 64 T-Nodes x 48 S-Nodes two levels down
 		waves   = 2
 	)
 	// Readers spin without yielding; leave the writer a CPU of its own, or a
 	// wave takes minutes of 10 ms preemption slices instead of a second.
 	readers := min(max(runtime.GOMAXPROCS(0)-1, 1), 3)
-	valueOf := func(k []byte) uint64 { // FNV-1a: each key has one value, a function of its bytes
-		h := uint64(14695981039346656037)
-		for _, c := range k {
-			h = (h ^ uint64(c)) * 1099511628211
-		}
-		return h
-	}
 	var stable [][]byte
-	for g := 0; g < groups; g++ {
-		for _, suffix := range []string{"", "/", "/st", "/stable", "/stable/and/a/long/path/compressed/tail", "/zz"} {
+	for g := 0; g < churnGroups; g++ {
+		for _, suffix := range churnSuffixes {
 			k := []byte(fmt.Sprintf("g%d%s", g, suffix))
 			stable = append(stable, k)
-			s.Put(k, valueOf(k))
+			s.Put(k, fnvValue(k))
 		}
 	}
 	// Neighbours of group g vary bytes 3 and 4 — the T and S key of the
@@ -561,9 +570,8 @@ func TestShardFindUnderChurn(t *testing.T) {
 			defer wg.Done()
 			n := int64(0)
 			for i := r; !stop.Load(); i++ {
-				k := stable[i%len(stable)]
-				if v, ok := s.Get(k); !ok || v != valueOf(k) {
-					t.Errorf("Get(%q) = %d,%v under churn, want %d,true", k, v, ok, valueOf(k))
+				if msg := read(s, stable, i); msg != "" {
+					t.Error(msg)
 					stop.Store(true)
 				}
 				n++
@@ -572,13 +580,13 @@ func TestShardFindUnderChurn(t *testing.T) {
 		}(r)
 	}
 	for w := 0; w < waves && !stop.Load(); w++ {
-		for g := 0; g < groups; g++ {
+		for g := 0; g < churnGroups; g++ {
 			for i := 0; i < perWave; i++ {
 				k := neighbour(g, i)
-				s.Put(k, valueOf(k))
+				s.Put(k, fnvValue(k))
 			}
 		}
-		for g := 0; g < groups; g++ {
+		for g := 0; g < churnGroups; g++ {
 			for i := 0; i < perWave; i++ {
 				if (i+w)%5 != 0 { // leave a changing fifth behind: holes, not empty streams
 					s.Delete(neighbour(g, i))
@@ -600,6 +608,64 @@ func TestShardFindUnderChurn(t *testing.T) {
 	}
 	t.Logf("%d reads against %d ejections, %d T-Node jump tables, %d container jump table updates, %d reallocs",
 		reads.Load(), st.Ejections, st.TNodeJumpTables, st.ContainerJTUpdates, reallocs)
+}
+
+// TestShardFindUnderChurn runs underChurn's torture against shardFind, the
+// one reader whose protocol is open-coded: every Get of a stable key must
+// return its one value — a miss or any other value is a torn walk.
+func TestShardFindUnderChurn(t *testing.T) {
+	underChurn(t, func(s *Store, stable [][]byte, i int) string {
+		k := stable[i%len(stable)]
+		if v, ok := s.Get(k); !ok || v != fnvValue(k) {
+			return fmt.Sprintf("Get(%q) = %d,%v under churn, want %d,true", k, v, ok, fnvValue(k))
+		}
+		return ""
+	})
+}
+
+// TestScanUnderChurn runs underChurn's torture against the chunked scan,
+// whose cursor continues across rounds only while the tree's sequence has
+// not moved. Range over a group must report keys in strictly increasing
+// order, each with its fnvValue, and every stable key of the group exactly
+// once; CountPrefix of "g<g>/st", whose three keys no neighbour shares, must
+// be 3.
+func TestScanUnderChurn(t *testing.T) {
+	underChurn(t, func(s *Store, stable [][]byte, i int) string {
+		g := (i / 2) % churnGroups
+		group := stable[g*len(churnSuffixes) : (g+1)*len(churnSuffixes)]
+		if i%2 == 1 {
+			if n := s.CountPrefix(group[2]); n != 3 {
+				return fmt.Sprintf("CountPrefix(%q) = %d under churn, want 3", group[2], n)
+			}
+			return ""
+		}
+		prefix := group[0]
+		var prev []byte
+		seen := 0
+		msg := ""
+		s.Range(prefix, func(k []byte, v uint64) bool {
+			switch {
+			case !bytes.HasPrefix(k, prefix):
+				return false
+			case prev != nil && bytes.Compare(prev, k) >= 0:
+				msg = fmt.Sprintf("Range(%q) reported %q after %q under churn", prefix, k, prev)
+			case v != fnvValue(k):
+				msg = fmt.Sprintf("Range(%q) reported %q = %d under churn, want %d", prefix, k, v, fnvValue(k))
+			}
+			if msg != "" {
+				return false
+			}
+			if seen < len(group) && bytes.Equal(k, group[seen]) {
+				seen++
+			}
+			prev = append(prev[:0], k...)
+			return true
+		})
+		if msg == "" && seen != len(group) {
+			msg = fmt.Sprintf("Range(%q) reported %d of its %d stable keys in order under churn", prefix, seen, len(group))
+		}
+		return msg
+	})
 }
 
 // epochAdvances reports whether the store's epoch domain can still move

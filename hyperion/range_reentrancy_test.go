@@ -1,6 +1,8 @@
 package hyperion
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -113,6 +115,80 @@ func TestRangeCallbackMayAppendToKey(t *testing.T) {
 	})
 	if visited != n {
 		t.Fatalf("visited %d keys, want %d", visited, n)
+	}
+}
+
+// TestRangeResumeAfterCallbackWrite pins that a scan never continues its
+// cursor on a tree that moved: at every chunk boundary the callback inserts
+// and then deletes most of a wave of neighbours of the key it was just
+// handed — keys in the containers the parked cursor points into, behind its
+// position, so the scan never reaches them — enough to grow containers
+// through their size classes, eject embedded ones and rebuild jump tables.
+// A cursor continued across that would decode shifted or recycled bytes; the
+// re-seek reports every untouched key once, in order, with its value.
+func TestRangeResumeAfterCallbackWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"one-arena", IntegerOptions()},
+		{"arenas-4-preprocessed", Options{Arenas: 4, KeyPreprocessing: true, EmbeddedEjectThreshold: 8 * 1024}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 1200
+			s := New(tc.opts)
+			stable := func(i int) []byte { return fmt.Appendf(nil, "s%04d/stable", i) }
+			for i := 0; i < n; i++ {
+				k := stable(i)
+				s.Put(k, fnvValue(k))
+			}
+			// 'A'+j%24 stays below the 's' of "/stable": neighbours of key i
+			// sort before it, behind a cursor parked right after it. Forty
+			// S-Nodes under each of 24 T-Nodes grow T-Node jump tables.
+			neighbour := func(i, j int) []byte {
+				return fmt.Appendf(nil, "s%04d/%c%c%03d", i, 'A'+j%24, '0'+j/24, j%7)
+			}
+			const perWave = 24 * 40
+			next, calls, waves := 0, 0, 0
+			withDeadlockGuard(t, "Range", func() {
+				s.Range(nil, func(k []byte, v uint64) bool {
+					if want := stable(next); next >= n || !bytes.Equal(k, want) || v != fnvValue(k) {
+						t.Errorf("call %d: Range reported %q = %d, want the untouched %q = %d", calls, k, v, want, fnvValue(want))
+						return false
+					}
+					next++
+					calls++
+					if calls%scanChunkSize == 0 {
+						i := next - 1
+						for j := 0; j < perWave; j++ {
+							s.Put(neighbour(i, j), uint64(j))
+						}
+						for j := 0; j < perWave; j++ {
+							if (j+waves)%2 != 0 { // leave a changing half behind: holes, not empty streams
+								s.Delete(neighbour(i, j))
+							}
+						}
+						waves++
+					}
+					return true
+				})
+			})
+			if next != n {
+				t.Fatalf("Range reported %d of %d untouched keys", next, n)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			reallocs := int64(0)
+			for _, sh := range s.shards {
+				reallocs += int64(sh.tree.Allocator().Stats().TotalReallocs)
+			}
+			if st.Ejections == 0 || st.TNodeJumpTables == 0 || reallocs == 0 {
+				t.Fatalf("churn too gentle: %d ejections, %d T-Node jump tables, %d reallocs after %d waves",
+					st.Ejections, st.TNodeJumpTables, reallocs, waves)
+			}
+		})
 	}
 }
 

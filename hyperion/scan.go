@@ -1,26 +1,43 @@
 package hyperion
 
-// This file implements the chunked-snapshot shard scan shared by Range,
-// ScanPrefix, Save (snapshot.go) and ParallelEach (batch.go). The one
+// This file implements the chunked shard scan shared by Range, ScanPrefix,
+// CountPrefix, Save (snapshot.go) and ParallelEach (batch.go). The one
 // invariant every iterator relies on lives here, in a single place: a chunk
-// of pairs is snapshotted through shardRead (optimistically, or under the
-// shard read lock), nothing is held when the chunk is handed on (so user
-// callbacks may write to the store without self-deadlocking), and the scan
-// resumes at the immediate lexicographic successor of the last snapshotted
-// key (its stored form plus one 0x00 byte), which can neither skip nor repeat
-// keys that are not mutated during the iteration.
+// of pairs is read through shardRead (optimistically and seqlock-validated,
+// or under the shard read lock), nothing is held when the chunk is handed on
+// (so user callbacks may write to the store without self-deadlocking), and
+// the scan resumes right behind the last accepted key, which can neither
+// skip nor repeat keys that are not mutated during the iteration.
 //
-// Resuming goes through the core cursor engine: every chunk re-seeks the
-// resume key through the container/T-Node jump tables and jump successors
-// (core.Cursor.Seek), so the per-chunk resume cost is O(depth × jump-probe)
-// instead of the O(position) linear decode the pre-cursor implementation paid
-// — the difference the `scan` bench experiment measures.
+// Resuming takes one of two routes, decided per round by the tree's seqlock
+// sequence (continuation below):
+//
+//   - continue: when the tree still reads the sequence at which the previous
+//     chunk was accepted, no shardWrite has run since — nothing was edited,
+//     retired or recycled — so the cursor's parked frames are still exactly
+//     right and the next chunk starts with cur.Next();
+//   - re-seek: otherwise (a callback or another goroutine wrote to the
+//     shard), the cursor seeks the stored-form successor of the last accepted
+//     key (its stored bytes plus one 0x00) through the container/T-Node jump
+//     tables and jump successors, O(depth × jump-probe).
+//
+// Every tree mutator runs inside shardWrite's seqlock bracket (the
+// seqlockpair analyzer proves it), so an unchanged sequence is a sufficient
+// witness for the first route.
 
 import (
 	"bytes"
+	"sync"
 
 	"repro/internal/core"
 )
+
+// scanChunkSize bounds how many pairs one shardRead round of a scan reads
+// (Range, ScanPrefix, CountPrefix, Save). It is small so a short range does
+// not decode, untransform and copy pairs its callback never asks for; long
+// scans pay nothing for the small size because rounds continue the cursor
+// instead of re-seeking.
+const scanChunkSize = 64
 
 // kvChunk is one snapshot of up to chunkSize pairs. Keys are the raw
 // (un-preprocessed) bytes of all pairs concatenated into one flat buffer
@@ -68,30 +85,84 @@ func (c *kvChunk) value(i int) uint64 { return c.vals[i] }
 // hasValue reports whether pair i carries a value (false for PutKey keys).
 func (c *kvChunk) hasValue(i int) bool { return c.hasv[i] }
 
+// scanState is the working set of one scan call: the cursor, the two resume
+// buffers (a round builds the NEXT resume key into resumeNext so a discarded
+// attempt cannot clobber the current one), the chunk Range/ScanPrefix/Save
+// fill, CountPrefix's untransform scratch and the prefix-bound endpoints.
+// It is pooled, so a warm scan allocates nothing. Whether the cursor may be
+// continued is NOT part of it: that is a local of every scan call
+// (continuation).
+type scanState struct {
+	cur                core.Cursor
+	resume, resumeNext []byte
+	chunk              kvChunk
+	scratch            []byte
+	succ, lo, hi       []byte
+}
+
+var scanStates = sync.Pool{New: func() any { return new(scanState) }}
+
+func getScanState() *scanState { return scanStates.Get().(*scanState) }
+
+// putScanState returns st to the pool. The cursor drops its tree and frame
+// buffers first, so an idle pool does not pin a dropped store's memory.
+func putScanState(st *scanState) {
+	st.cur.Init(nil)
+	scanStates.Put(st)
+}
+
+// continuation is one scan call's right to continue its cursor instead of
+// re-seeking; a local of every scanShardChunks/countShardRange call, never
+// pooled. ok is set only once shardRead has accepted a round, and cleared
+// as the next round starts, so a torn, discarded or panicking round can
+// never be continued.
+type continuation struct {
+	ok      bool   // st.cur is parked right behind the last accepted key
+	seq     uint64 // the tree sequence the accepted round read at
+	running uint64 // the sequence the running round reads at
+}
+
+// position readies st.cur for one shardRead round over sh: it continues
+// where the last accepted round stopped when the tree still reads that
+// round's sequence, and re-seeks st.resume otherwise.
+func (c *continuation) position(sh *shard, st *scanState, optimistic bool) {
+	st.cur.SetMaxFrames(maxFrames(optimistic))
+	c.running, _ = sh.tree.ReadSeq()
+	if !c.ok || c.running != c.seq {
+		st.cur.Seek(st.resume)
+	}
+	c.ok = false
+}
+
+// accept records the round shardRead just accepted: the cursor may be
+// continued at its sequence, and its resume key becomes current.
+func (c *continuation) accept(st *scanState) {
+	c.ok, c.seq = true, c.running
+	st.resume, st.resumeNext = st.resumeNext, st.resume
+}
+
 // scanShardChunks streams sh's stored pairs with keys in [tstart, tend)
 // (stored-key space; a nil tend means unbounded) in chunks of up to chunkSize
-// pairs. Every chunk is filled through shardRead (pinned optimistic attempts,
-// shard read lock as fallback) by seeking a core cursor to the resume key,
-// and passed to emit with no lock held; emit returning false stops the scan.
+// pairs, using st's cursor and resume buffers. Every chunk is filled through
+// shardRead (pinned optimistic attempts, shard read lock as fallback) and
+// passed to emit with no lock held; emit returning false stops the scan.
 // nextChunk supplies the chunk to fill (it is reset here): return the same
 // chunk to reuse buffers (Range), or a fresh one when emit retains the chunk
-// beyond the call (ParallelEach's channel). abort, if non-nil, is polled per pair and per
-// chunk for cheap early termination from the outside. The return value
-// reports whether the scan ended because it reached tend — callers walking
-// arenas in order can stop at the first shard that crosses the bound.
-func (s *Store) scanShardChunks(sh *shard, tstart, tend []byte, chunkSize int, abort func() bool, nextChunk func() *kvChunk, emit func(*kvChunk) bool) (reachedEnd bool) {
-	var cur core.Cursor
-	// Two resume buffers: the fill builds the NEXT resume key into a separate
-	// buffer so a discarded (torn) attempt cannot clobber the current one;
-	// the swap below commits it only after shardRead accepted the chunk.
-	var resume, resumeNext []byte
-	resume = append(resume, tstart...)
+// beyond the call (ParallelEach's channel). abort, if non-nil, is polled per
+// pair and per chunk for cheap early termination from the outside. The
+// return value reports whether the scan ended because it reached tend —
+// callers walking arenas in order can stop at the first shard that crosses
+// the bound.
+func (s *Store) scanShardChunks(sh *shard, st *scanState, tstart, tend []byte, chunkSize int, abort func() bool, nextChunk func() *kvChunk, emit func(*kvChunk) bool) (reachedEnd bool) {
+	st.cur.Init(sh.tree)
+	st.resume = append(st.resume[:0], tstart...)
+	var cont continuation
 	var chunk *kvChunk
 	var full bool
 	fill := func(optimistic bool) {
+		cont.position(sh, st, optimistic)
 		chunk.reset()
-		cur.SetMaxFrames(maxFrames(optimistic))
-		resumeNext, full, reachedEnd = s.fillChunk(sh, &cur, chunk, resume, resumeNext, tend, chunkSize, abort)
+		full, reachedEnd = s.fillChunk(st, chunk, tend, chunkSize, abort)
 	}
 	for {
 		if abort != nil && abort() {
@@ -99,11 +170,11 @@ func (s *Store) scanShardChunks(sh *shard, tstart, tend []byte, chunkSize int, a
 		}
 		chunk = nextChunk()
 		s.shardRead(sh, true, fill)
-		resume, resumeNext = resumeNext, resume
+		cont.accept(st)
 		if chunk.len() > 0 && !emit(chunk) {
 			return reachedEnd
 		}
-		if !full || reachedEnd {
+		if !full {
 			return reachedEnd
 		}
 	}
@@ -118,104 +189,86 @@ func maxFrames(optimistic bool) int {
 	return 0
 }
 
-// fillChunk advances the scan by one chunk: it seeks cur to resume, appends
-// up to chunkSize pairs with stored keys in [resume, tend) to chunk, and —
+// fillChunk advances the scan by one chunk from st.cur's position: it
+// appends up to chunkSize pairs with stored keys below tend to chunk and —
 // when the chunk fills — writes the stored-form successor of the last key
-// into resumeNext (returned possibly regrown). It runs as a shardRead body,
-// so it must be restartable: everything it writes is an output.
-func (s *Store) fillChunk(sh *shard, cur *core.Cursor, chunk *kvChunk, resume, resumeNext, tend []byte, chunkSize int, abort func() bool) (nextResume []byte, full, reachedEnd bool) {
-	cur.Init(sh.tree)
-	cur.Seek(resume)
+// into st.resumeNext. It runs inside a shardRead body, so it must be
+// restartable: everything it writes is an output.
+func (s *Store) fillChunk(st *scanState, chunk *kvChunk, tend []byte, chunkSize int, abort func() bool) (full, reachedEnd bool) {
 	for {
 		if abort != nil && abort() {
-			break
+			return false, false
 		}
-		k, v, hasValue, ok := cur.Next()
+		k, v, hasValue, ok := st.cur.Next()
 		if !ok {
-			break
+			return false, false
 		}
 		if tend != nil && bytes.Compare(k, tend) >= 0 {
-			reachedEnd = true
-			break
+			return false, true
 		}
 		chunk.keys = s.untransformAppend(chunk.keys, k)
 		chunk.offs = append(chunk.offs, int32(len(chunk.keys)))
 		chunk.vals = append(chunk.vals, v)
 		chunk.hasv = append(chunk.hasv, hasValue)
 		if len(chunk.vals) == chunkSize {
-			resumeNext = append(resumeNext[:0], k...)
-			resumeNext = append(resumeNext, 0)
-			full = true
-			break
+			st.resumeNext = append(append(st.resumeNext[:0], k...), 0)
+			return true, false
 		}
 	}
-	return resumeNext, full, reachedEnd
 }
 
-// countChunkSize bounds how many pairs CountPrefix counts per lock
-// acquisition. Counting neither copies nor untransforms keys, so the
-// per-pair cost under the lock is far below Range's and a larger chunk
-// amortises the re-seek better.
-const countChunkSize = 4096
-
 // countShardRange counts sh's stored pairs with keys in [tstart, tend)
-// (stored-key space; nil tend = unbounded) through the same chunked,
-// lock-releasing cursor scan as scanShardChunks, but without materialising
-// the keys. A non-nil rawPrefix restricts the count to keys whose raw
-// (untransformed) form starts with it — the over-approximation filter of
-// prefixBounds; only then are keys untransformed, into one reused scratch.
-// Returns the count and whether the scan crossed tend.
-func (s *Store) countShardRange(sh *shard, tstart, tend, rawPrefix []byte) (total int, reachedEnd bool) {
-	var cur core.Cursor
-	var resume, resumeNext, scratch []byte
-	resume = append(resume, tstart...)
+// (stored-key space; nil tend = unbounded) through the same rounds as
+// scanShardChunks, but without materialising the keys. A non-nil rawPrefix
+// restricts the count to keys whose raw (untransformed) form starts with it —
+// the over-approximation filter of prefixBounds; only then are keys
+// untransformed, into st.scratch. Returns the count and whether the scan
+// crossed tend.
+func (s *Store) countShardRange(sh *shard, st *scanState, tstart, tend, rawPrefix []byte) (total int, reachedEnd bool) {
+	st.cur.Init(sh.tree)
+	st.resume = append(st.resume[:0], tstart...)
+	var cont continuation
 	var n int
 	var full bool
 	count := func(optimistic bool) {
-		cur.SetMaxFrames(maxFrames(optimistic))
-		n, resumeNext, scratch, full, reachedEnd = s.countChunk(sh, &cur, resume, resumeNext, scratch, tend, rawPrefix)
+		cont.position(sh, st, optimistic)
+		n, full, reachedEnd = s.countChunk(st, tend, rawPrefix)
 	}
 	for {
 		s.shardRead(sh, true, count)
+		cont.accept(st)
 		total += n
-		resume, resumeNext = resumeNext, resume
-		if !full || reachedEnd {
+		if !full {
 			return total, reachedEnd
 		}
 	}
 }
 
-// countChunk counts up to countChunkSize pairs in [resume, tend) and, when
-// the chunk fills, writes the resume successor into resumeNext. Same
-// restartable-body contract as fillChunk.
-func (s *Store) countChunk(sh *shard, cur *core.Cursor, resume, resumeNext, scratch, tend, rawPrefix []byte) (n int, nextResume, nextScratch []byte, full, reachedEnd bool) {
-	cur.Init(sh.tree)
-	cur.Seek(resume)
+// countChunk counts the pairs below tend among the next scanChunkSize keys
+// of st.cur and, when it steps over all of them, writes the resume successor
+// into st.resumeNext. Same restartable-body contract as fillChunk.
+func (s *Store) countChunk(st *scanState, tend, rawPrefix []byte) (n int, full, reachedEnd bool) {
 	steps := 0
 	for {
-		k, _, _, ok := cur.Next()
+		k, _, _, ok := st.cur.Next()
 		if !ok {
-			break
+			return n, false, false
 		}
 		if tend != nil && bytes.Compare(k, tend) >= 0 {
-			reachedEnd = true
-			break
+			return n, false, true
 		}
 		steps++
 		if rawPrefix == nil {
 			n++
 		} else {
-			scratch = s.untransformAppend(scratch[:0], k)
-			if bytes.HasPrefix(scratch, rawPrefix) {
+			st.scratch = s.untransformAppend(st.scratch[:0], k)
+			if bytes.HasPrefix(st.scratch, rawPrefix) {
 				n++
 			}
 		}
-		if steps == countChunkSize {
-			resumeNext = append(resumeNext[:0], k...)
-			resumeNext = append(resumeNext, 0)
-			full = true
-			break
+		if steps == scanChunkSize {
+			st.resumeNext = append(append(st.resumeNext[:0], k...), 0)
+			return n, true, false
 		}
 	}
-	return n, resumeNext, scratch, full, reachedEnd
 }

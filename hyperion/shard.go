@@ -51,16 +51,6 @@ func (s *Store) shardFor(key []byte) *shard {
 // keys transparently fall back to one heap allocation inside append.
 const opScratchSize = 128
 
-// transform applies the optional key pre-processing to a raw key. It
-// allocates when pre-processing is on; hot paths use transformAppend with a
-// stack scratch instead.
-func (s *Store) transform(key []byte) []byte {
-	if s.opts.KeyPreprocessing {
-		return keys.Preprocess(key)
-	}
-	return key
-}
-
 // transformAppend returns the stored form of key: key itself when
 // pre-processing is off, otherwise the pre-processed form appended to dst
 // (usually the empty head of a caller's stack scratch, making the transform
@@ -70,14 +60,6 @@ func (s *Store) transformAppend(dst, key []byte) []byte {
 		return key
 	}
 	return keys.PreprocessAppend(dst, key)
-}
-
-// untransform maps a stored key back to the raw key handed to callers.
-func (s *Store) untransform(key []byte) []byte {
-	if s.opts.KeyPreprocessing {
-		return keys.Unpreprocess(key)
-	}
-	return key
 }
 
 // untransformAppend is the append-style inverse of transformAppend. Unlike

@@ -191,15 +191,15 @@ func (s *Store) SaveFile(path string) (n int, err error) {
 
 // encodeSection serializes one arena into a complete section (header,
 // delta-encoded payload, checksum) and returns it with its key count. The
-// scan snapshots chunks under the shard read lock and encodes with the lock
-// released, per the scanShardChunks contract.
+// scan reads seqlock-validated chunks and encodes them with nothing held,
+// per the scanShardChunks contract.
 func (s *Store) encodeSection(arena int) ([]byte, uint64) {
 	var payload []byte
 	var prev []byte
 	var count uint64
-	var chunk kvChunk
-	s.scanShardChunks(s.shards[arena], nil, nil, rangeChunkSize, nil,
-		func() *kvChunk { return &chunk },
+	st := getScanState()
+	s.scanShardChunks(s.shards[arena], st, nil, nil, scanChunkSize, nil,
+		func() *kvChunk { return &st.chunk },
 		func(c *kvChunk) bool {
 			for j := 0; j < c.len(); j++ {
 				k := c.key(j)
@@ -219,6 +219,7 @@ func (s *Store) encodeSection(arena int) ([]byte, uint64) {
 			}
 			return true
 		})
+	putScanState(st)
 	sec := make([]byte, 0, snapSectionHeaderSize+len(payload)+4)
 	sec = binary.LittleEndian.AppendUint16(sec, uint16(arena))
 	sec = append(sec, 0, 0)

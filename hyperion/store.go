@@ -139,50 +139,54 @@ func (s *Store) Len() int {
 	return int(total)
 }
 
-// rangeChunkSize bounds how many pairs Range copies out of a shard per lock
-// acquisition.
-const rangeChunkSize = 256
-
 // Range calls fn for every stored key greater than or equal to start, in
 // lexicographic order, until fn returns false. The key slice passed to fn is
 // only valid for the duration of the call; copy it if it must be retained.
-// Keys stored via PutKey are reported with value 0.
+// Keys stored via PutKey are reported with value 0. A warm Range performs no
+// heap allocation.
 //
 // REENTRANCY: fn may call any method of the same store, including writes.
-// Range does not hold a shard lock while fn runs: it snapshots chunks of
-// rangeChunkSize pairs under the shard read lock, releases the lock, invokes
-// fn for the snapshotted pairs, and resumes the scan behind the last
-// delivered key (scanShardChunks in scan.go). The flip side is that Range
-// does not observe an atomic snapshot — keys inserted or deleted while an
-// iteration is in progress (by fn itself or by other goroutines) may or may
-// not be reported, but keys untouched during the iteration are reported
-// exactly once.
+// Range holds no shard lock while fn runs: it reads chunks of scanChunkSize
+// pairs through the seqlock-validated shard reader (the shard read lock only
+// as a fallback), invokes fn for them with nothing held, and then continues
+// the scan behind the last delivered key — straight on from the cursor when
+// the shard has not been written since, by a re-seek when it has
+// (scanShardChunks in scan.go). The flip side is that Range does not observe
+// an atomic snapshot — keys inserted or deleted while an iteration is in
+// progress (by fn itself or by other goroutines) may or may not be reported,
+// but keys untouched during the iteration are reported exactly once.
 func (s *Store) Range(start []byte, fn func(key []byte, value uint64) bool) {
-	s.scanRange(s.arenaIndex(start), s.transform(start), nil, nil, fn)
+	st := getScanState()
+	tstart := start
+	if s.opts.KeyPreprocessing {
+		st.lo = keys.PreprocessAppend(st.lo[:0], start)
+		tstart = st.lo
+	}
+	s.scanRange(st, s.arenaIndex(start), tstart, nil, nil, fn)
+	putScanState(st)
 }
 
 // scanRange streams the stored-key interval [tstart, tend) (nil tend =
-// unbounded) across the shards from startShard on, in order, through one
-// reused chunk — so a scan over n keys costs O(1) allocations, not O(n); the
-// chunk's flat key buffer doubles as the untransform buffer shared by all
-// callback invocations (its content is only valid during the call, per the
-// Range contract). A non-nil rawPrefix restricts emissions to keys carrying
-// it (the over-approximation filter of prefixBounds; chunk keys are already
-// untransformed, so the filter is one prefix compare).
+// unbounded) across the shards from startShard on, in order, through st's
+// chunk — so a warm scan allocates nothing; the chunk's flat key buffer
+// doubles as the untransform buffer shared by all callback invocations (its
+// content is only valid during the call, per the Range contract). A non-nil
+// rawPrefix restricts emissions to keys carrying it (the over-approximation
+// filter of prefixBounds; chunk keys are already untransformed, so the
+// filter is one prefix compare).
 //
 // Arenas hold contiguous key ranges by raw leading byte, and the arena
 // routing invariant (shard.go) makes raw and transformed routing agree, so
 // no key in the interval can live in an arena before startShard, and the
 // walk stops at the first shard whose scan crosses tend.
-func (s *Store) scanRange(startShard int, tstart, tend, rawPrefix []byte, fn func(key []byte, value uint64) bool) {
-	var chunk kvChunk
+func (s *Store) scanRange(st *scanState, startShard int, tstart, tend, rawPrefix []byte, fn func(key []byte, value uint64) bool) {
 	stopped := false
 	for _, sh := range s.shards[startShard:] {
 		if stopped {
 			return
 		}
-		reachedEnd := s.scanShardChunks(sh, tstart, tend, rangeChunkSize, nil,
-			func() *kvChunk { return &chunk },
+		reachedEnd := s.scanShardChunks(sh, st, tstart, tend, scanChunkSize, nil,
+			func() *kvChunk { return &st.chunk },
 			func(c *kvChunk) bool {
 				for i := 0; i < c.len(); i++ {
 					if rawPrefix != nil && !bytes.HasPrefix(c.key(i), rawPrefix) {
@@ -208,10 +212,11 @@ func (s *Store) Each(fn func(key []byte, value uint64) bool) {
 
 // ScanPrefix calls fn for every stored key that starts with prefix, in the
 // store's iteration order, until fn returns false. It shares Range's
-// reentrancy and consistency contract (chunked snapshots, no lock held across
+// reentrancy and consistency contract (chunked reads, no lock held across
 // fn, no atomic snapshot) but bounds the scan on both sides: the cursor seeks
 // straight to the prefix range and the shard walk stops at its upper bound
 // instead of filtering a full tail scan. An empty prefix iterates everything.
+// A warm ScanPrefix performs no heap allocation.
 //
 // With KeyPreprocessing the stored-key bounds are computed per key-length
 // class (prefixBounds): the transform is order-preserving only among keys of
@@ -220,58 +225,55 @@ func (s *Store) Each(fn func(key []byte, value uint64) bool) {
 // iteration order is the stored-key order, which matches raw lexicographic
 // order except across the short/long key-class boundary of the transform.
 func (s *Store) ScanPrefix(prefix []byte, fn func(key []byte, value uint64) bool) {
-	tstart, tend, filter := s.prefixBounds(prefix)
-	rawPrefix := prefix
-	if !filter {
-		rawPrefix = nil
-	}
-	s.scanRange(s.arenaIndex(prefix), tstart, tend, rawPrefix, fn)
+	st := getScanState()
+	tstart, tend, rawPrefix := s.prefixBounds(st, prefix)
+	s.scanRange(st, s.arenaIndex(prefix), tstart, tend, rawPrefix, fn)
+	putScanState(st)
 }
 
 // CountPrefix returns the number of stored keys that start with prefix. It
 // streams through the same chunked, lock-releasing scan as ScanPrefix but —
 // when the stored bounds are exact — skips materialising (and
 // un-preprocessing) the keys, so counting a prefix population costs a cursor
-// walk over the stored range and nothing else. The consistency contract is
-// Range's: keys mutated while the count is in progress may or may not be
-// included.
+// walk over the stored range and nothing else; a warm CountPrefix performs
+// no heap allocation. The consistency contract is Range's: keys mutated
+// while the count is in progress may or may not be included.
 func (s *Store) CountPrefix(prefix []byte) int {
-	tstart, tend, filter := s.prefixBounds(prefix)
-	rawPrefix := prefix
-	if !filter {
-		rawPrefix = nil
-	}
+	st := getScanState()
+	tstart, tend, rawPrefix := s.prefixBounds(st, prefix)
 	total := 0
 	for _, sh := range s.shards[s.arenaIndex(prefix):] {
-		n, reachedEnd := s.countShardRange(sh, tstart, tend, rawPrefix)
+		n, reachedEnd := s.countShardRange(sh, st, tstart, tend, rawPrefix)
 		total += n
 		if reachedEnd {
 			break
 		}
 	}
+	putScanState(st)
 	return total
 }
 
-// prefixSuccessor returns the smallest byte string greater than every string
-// with the given prefix, or nil when no such bound exists (empty or all-0xff
-// prefix).
-func prefixSuccessor(p []byte) []byte {
+// appendPrefixSuccessor appends to dst the smallest byte string greater than
+// every string with the given prefix; ok is false (and dst unchanged) when no
+// such bound exists (empty or all-0xff prefix).
+func appendPrefixSuccessor(dst, p []byte) (succ []byte, ok bool) {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] != 0xff {
-			out := make([]byte, i+1)
-			copy(out, p[:i+1])
-			out[i]++
-			return out
+			dst = append(dst, p[:i+1]...)
+			dst[len(dst)-1]++
+			return dst, true
 		}
 	}
-	return nil
+	return dst, false
 }
 
 // prefixBounds translates a raw-key prefix into a stored-key interval
 // [tstart, tend) containing every stored key whose raw form starts with
-// prefix (nil tend = unbounded above). filter reports whether interval
-// membership over-approximates the prefix set, in which case callers must
-// re-check the raw prefix per key.
+// prefix (nil tend = unbounded above). rawPrefix is non-nil (the prefix
+// itself) when interval membership over-approximates the prefix set, in
+// which case callers must re-check the raw prefix per key. Endpoints the
+// translation builds live in st's bound buffers, so a warm call allocates
+// nothing.
 //
 // Without KeyPreprocessing the stored space IS the raw space and the interval
 // is exact. With it, keys of at least four bytes are transformed
@@ -289,29 +291,35 @@ func prefixSuccessor(p []byte) []byte {
 //     zero-padded to 4 bytes)), upper bound max(succ(prefix),
 //     strict-successor of T(prefix 0xff-padded to 4 bytes)) — and emissions
 //     are filtered.
-func (s *Store) prefixBounds(prefix []byte) (tstart, tend []byte, filter bool) {
-	succ := prefixSuccessor(prefix)
+func (s *Store) prefixBounds(st *scanState, prefix []byte) (tstart, tend, rawPrefix []byte) {
+	succ, bounded := appendPrefixSuccessor(st.succ[:0], prefix)
+	st.succ = succ
+	if !bounded {
+		succ = nil
+	}
 	if !s.opts.KeyPreprocessing || len(prefix) <= 1 {
-		return prefix, succ, false
+		return prefix, succ, nil
 	}
 	if len(prefix) >= 4 {
-		tstart = keys.Preprocess(prefix)
-		if succ != nil {
-			tend = keys.Preprocess(succ)
+		st.lo = keys.PreprocessAppend(st.lo[:0], prefix)
+		if bounded {
+			st.hi = keys.PreprocessAppend(st.hi[:0], succ)
+			tend = st.hi
 		}
-		return tstart, tend, true
+		return st.lo, tend, prefix
 	}
 	// 2- or 3-byte prefix under pre-processing.
-	lo := make([]byte, 4)
-	copy(lo, prefix)
-	tlo := keys.Preprocess(lo) // minimal transformed head of any long match
+	var lo [4]byte
+	copy(lo[:], prefix)
+	st.lo = keys.PreprocessAppend(st.lo[:0], lo[:]) // minimal transformed head of any long match
 	tstart = prefix
-	if bytes.Compare(tlo, tstart) < 0 {
-		tstart = tlo
+	if bytes.Compare(st.lo, tstart) < 0 {
+		tstart = st.lo
 	}
-	hi := []byte{prefix[0], 0xff, 0xff, 0xff}
+	hi := [4]byte{prefix[0], 0xff, 0xff, 0xff}
 	copy(hi[1:], prefix[1:])
-	thi := keys.Preprocess(hi)
+	st.hi = keys.PreprocessAppend(st.hi[:0], hi[:])
+	thi := st.hi
 	// Transform payload bytes top out at 0xfc, so the increment cannot carry;
 	// the result strictly bounds every transformed extension of hi's head.
 	thi[len(thi)-1]++
@@ -319,12 +327,12 @@ func (s *Store) prefixBounds(prefix []byte) (tstart, tend []byte, filter bool) {
 	if tend == nil {
 		// …but not the verbatim short class, which extends to the top of the
 		// key space: unbounded.
-		return tstart, nil, true
+		return tstart, nil, prefix
 	}
 	if bytes.Compare(thi, tend) > 0 {
 		tend = thi
 	}
-	return tstart, tend, true
+	return tstart, tend, prefix
 }
 
 // PutUint64 stores an integer key in its binary-comparable encoding.

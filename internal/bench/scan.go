@@ -131,8 +131,9 @@ func fullScanLinear(tree *core.Tree) (int64, int64) {
 	return pairs, payload
 }
 
-// chunkedScanCursor is the resume loop every lock-releasing iterator runs:
-// read scanChunkPairs pairs, remember the successor of the last key, re-seek.
+// chunkedScanCursor is the re-seek route of the lock-releasing iterators
+// (taken when the shard was written between chunks): read scanChunkPairs
+// pairs, remember the successor of the last key, re-seek.
 func chunkedScanCursor(tree *core.Tree) (int64, int64) {
 	var pairs, payload int64
 	var resume []byte

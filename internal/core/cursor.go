@@ -78,9 +78,6 @@ type Cursor struct {
 	hasPending bool
 	// emitEmpty schedules the empty key (stored outside the containers).
 	emitEmpty bool
-	// stop, when hasStop, constrains the iteration to keys with this prefix.
-	stop    []byte
-	hasStop bool
 	// probes counts decoded node headers and jump-probe steps since the last
 	// Seek — the bounded-work instrumentation of the seek contract.
 	probes int64
@@ -100,9 +97,12 @@ func NewCursor(t *Tree) *Cursor {
 }
 
 // Init (re)binds the cursor to a tree and clears its position. Internal
-// buffers are kept for reuse. Call Seek (or Prefix) before Next.
+// buffers are kept for reuse, but no reference into the previous tree's
+// memory survives, so Init(nil) parks an idle cursor without pinning a tree.
+// Call Seek before Next.
 func (c *Cursor) Init(t *Tree) {
 	c.t = t
+	clear(c.frames[:cap(c.frames)])
 	c.reset()
 }
 
@@ -110,7 +110,6 @@ func (c *Cursor) reset() {
 	c.frames = c.frames[:0]
 	c.hasPending = false
 	c.emitEmpty = false
-	c.hasStop = false
 	c.probes = 0
 }
 
@@ -162,16 +161,6 @@ func (c *Cursor) Seek(start []byte) {
 	}
 }
 
-// Prefix positions the cursor at the first key with the given prefix
-// (stored-key space) and constrains the iteration to keys carrying it: Next
-// reports exhaustion at the first key outside the prefix range. An empty
-// prefix iterates everything.
-func (c *Cursor) Prefix(p []byte) {
-	c.Seek(p)
-	c.stop = append(c.stop[:0], p...)
-	c.hasStop = len(p) > 0
-}
-
 // Next returns the next stored key in order. The key slice is valid only
 // until the next cursor call and is capacity-capped: appending to it cannot
 // corrupt the cursor's buffer. ok is false when the iteration is exhausted.
@@ -181,17 +170,11 @@ func (c *Cursor) Prefix(p []byte) {
 func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 	if c.emitEmpty {
 		c.emitEmpty = false
-		if !c.checkStop(0) {
-			return c.stopAll()
-		}
 		return c.key[:0:0], c.t.emptyValue, c.t.emptyHas, true
 	}
 	if c.hasPending {
 		c.hasPending = false
 		n := c.pendingLen
-		if !c.checkStop(n) {
-			return c.stopAll()
-		}
 		return c.key[:n:n], c.pendingVal, c.pendingHas, true
 	}
 	for len(c.frames) > 0 {
@@ -229,9 +212,6 @@ func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 			f.pos += int32(tNodeHeadSize(hdr))
 			if typ != typeInner {
 				n := int(f.baseLen) + 1
-				if !c.checkStop(n) {
-					return c.stopAll()
-				}
 				return c.key[:n:n], v, typ == typeKeyVal, true
 			}
 			continue
@@ -271,17 +251,11 @@ func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 			c.stagePC(n, buf, childOff)
 		}
 		if typ != typeInner {
-			if !c.checkStop(n) {
-				return c.stopAll()
-			}
 			return c.key[:n:n], v, typ == typeKeyVal, true
 		}
 		if c.hasPending {
 			c.hasPending = false
 			pn := c.pendingLen
-			if !c.checkStop(pn) {
-				return c.stopAll()
-			}
 			return c.key[:pn:pn], c.pendingVal, c.pendingHas, true
 		}
 	}
@@ -470,24 +444,6 @@ func (c *Cursor) stagePC(base int, buf []byte, childOff int) {
 		c.pendingHas = false
 	}
 	c.hasPending = true
-}
-
-// checkStop reports whether the key of length n currently in the buffer
-// satisfies the prefix constraint. Emissions are ordered, so the first
-// failure means every later key fails too.
-func (c *Cursor) checkStop(n int) bool {
-	if !c.hasStop {
-		return true
-	}
-	return n >= len(c.stop) && bytes.Equal(c.key[:len(c.stop)], c.stop)
-}
-
-// stopAll exhausts the cursor (prefix constraint hit).
-func (c *Cursor) stopAll() ([]byte, uint64, bool, bool) {
-	c.frames = c.frames[:0]
-	c.hasPending = false
-	c.emitEmpty = false
-	return nil, 0, false, false
 }
 
 // setKeyByte writes one key byte, growing the storage buffer if needed.

@@ -239,7 +239,9 @@ func TestCursorSeekProbesBounded(t *testing.T) {
 	}
 }
 
-// TestCursorPrefix pins Prefix against a filtered linear walk.
+// TestCursorPrefix pins the prefix-scan shape the hyperion layer runs — Seek
+// to the prefix, stop at the first key without it — against a filtered
+// linear walk.
 func TestCursorPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	tree := buildMixedTree(DefaultConfig(), prefixHeavyKeys(rng, 3000), 80)
@@ -257,11 +259,11 @@ func TestCursorPrefix(t *testing.T) {
 			want = append(want, pair{string(k), v, hv})
 			return true
 		})
-		c.Prefix(p)
+		c.Seek(p)
 		var got []pair
 		for {
 			k, v, hv, ok := c.Next()
-			if !ok {
+			if !ok || !bytes.HasPrefix(k, p) {
 				break
 			}
 			got = append(got, pair{string(k), v, hv})
@@ -332,6 +334,34 @@ func TestCursorZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("steady-state Seek+Next chunk allocates %v allocs/op, want 0", n)
+	}
+}
+
+// TestCursorInitDropsTree pins what lets an idle cursor sit in a pool:
+// Init(nil) keeps the frame stack's capacity but no reference into the
+// previous tree — neither the tree nor any frame's stream buffer, including
+// the stale frames beyond the stack's length.
+func TestCursorInitDropsTree(t *testing.T) {
+	tree := New(DefaultConfig())
+	rng := rand.New(rand.NewSource(83))
+	for i, k := range prefixHeavyKeys(rng, 2000) {
+		tree.Put(k, uint64(i))
+	}
+	c := NewCursor(tree)
+	for i := 0; i < 1000; i++ {
+		if _, _, _, ok := c.Next(); !ok {
+			break
+		}
+	}
+	grown := cap(c.frames)
+	c.Init(nil)
+	if c.t != nil || cap(c.frames) != grown || grown == 0 {
+		t.Fatalf("Init(nil): tree %p, frame capacity %d (was %d)", c.t, cap(c.frames), grown)
+	}
+	for i, f := range c.frames[:cap(c.frames)] {
+		if f.buf != nil {
+			t.Fatalf("Init(nil) left frame %d referencing a %d-byte stream", i, len(f.buf))
+		}
 	}
 }
 
