@@ -1,8 +1,8 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
 // the paper's evaluation (§4) as `testing.B` targets, at the harness's small
 // scale so that `go test -bench=.` finishes quickly. Use cmd/hyperion-bench
-// for larger, configurable runs; DESIGN.md maps each benchmark to its table
-// or figure and EXPERIMENTS.md records paper-vs-measured results.
+// for larger, configurable runs; DESIGN.md "Experiment → paper mapping"
+// maps each benchmark to its table or figure.
 package repro
 
 import (

@@ -251,7 +251,7 @@ func (s *Store) bulkApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Res
 		op := &ops[groupAt(opIdx, k)]
 		pairs[k] = Pair{Key: op.Key, Value: op.Value}
 	}
-	covered := s.writeRun(sh, pairs)
+	covered := s.writeRun(sh, s.transformRun(pairs))
 	for k := range pairs {
 		r := Result{}
 		if k < covered {

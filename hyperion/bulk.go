@@ -74,81 +74,107 @@ func (s *Store) BulkLoad(pairs []Pair) {
 			return
 		}
 	}
-	if len(s.shards) == 1 {
-		s.writeRun(s.shards[0], pairs)
-		return
-	}
-	// Arena sub-runs are contiguous: routing is by leading byte and the run
-	// is sorted, so each arena's keys form one slice of pairs.
-	type span struct{ shard, lo, hi int }
-	var spans []span
-	lo, cur := 0, s.arenaIndex(pairs[0].Key)
-	for i := 1; i < len(pairs); i++ {
-		if a := s.arenaIndex(pairs[i].Key); a != cur {
-			spans = append(spans, span{cur, lo, i})
-			cur, lo = a, i
-		}
-	}
-	spans = append(spans, span{cur, lo, len(pairs)})
+	spans := s.arenaSpans(len(pairs), func(i int) []byte { return pairs[i].Key })
 	s.runIndexed(len(spans), func(i int) {
 		sp := spans[i]
-		s.writeRun(s.shards[sp.shard], pairs[sp.lo:sp.hi])
+		s.writeRun(s.shards[sp.arena], s.transformRun(pairs[sp.lo:sp.hi]))
 	})
 }
 
-// writeRun is the one run writer behind BulkLoad's per-arena loads and
-// ApplyBatch's diverted groups: it ingests one arena's strictly increasing
-// run through a single shardWrite and returns how many pairs landed. The log
-// takes the run in chunks (walEnqueuePairs), so a mid-run log failure leaves
-// exactly the already-enqueued prefix in the log and exactly that prefix is
-// applied; short of a failure covered is len(pairs).
-func (s *Store) writeRun(sh *shard, pairs []Pair) (covered int) {
-	tkeys, vals, ordered := s.transformRun(pairs)
-	s.shardWrite(sh, len(pairs),
-		func() (uint64, int) { return s.walEnqueuePairs(sh, pairs) },
+// arenaSpan is a maximal slice [lo, hi) of a run routed to one arena.
+type arenaSpan struct{ arena, lo, hi int }
+
+// arenaSpans cuts the n keys key(i) of a run into arena spans, one per arena
+// for a sorted run (leading-byte routing keeps an arena's keys contiguous).
+func (s *Store) arenaSpans(n int, key func(int) []byte) []arenaSpan {
+	var spans []arenaSpan
+	for lo := 0; lo < n; {
+		a, hi := s.arenaIndex(key(lo)), lo+1
+		for hi < n && s.arenaIndex(key(hi)) == a {
+			hi++
+		}
+		spans = append(spans, arenaSpan{a, lo, hi})
+		lo = hi
+	}
+	return spans
+}
+
+// storedRun is one arena's write run in the stored (pre-processed) key form
+// the tree holds: deletes go first, then keys with Put semantics where hasv
+// is nil or hasv[i] is set and PutKey semantics otherwise. An ordered run is
+// strictly increasing and goes to the core bulk builder; any other goes key
+// by key, in run order. logged is the raw run the write-ahead log records;
+// deletes come only with the unlogged runs of recovery.
+type storedRun struct {
+	keys    [][]byte
+	vals    []uint64
+	hasv    []bool
+	deletes [][]byte
+	ordered bool
+	logged  []Pair
+}
+
+// writeRun is the one run writer behind BulkLoad's per-arena loads,
+// ApplyBatch's diverted groups, snapshot sections and WAL tails: it applies
+// one arena's run through a single shardWrite and returns how many keys
+// landed. The log takes the run in chunks (walEnqueuePairs), so a mid-run
+// log failure leaves exactly the already-enqueued prefix in the log and
+// exactly that prefix is applied; short of a failure covered is len(keys).
+func (s *Store) writeRun(sh *shard, r *storedRun) (covered int) {
+	s.shardWrite(sh, len(r.keys),
+		func() (uint64, int) { return s.walEnqueuePairs(sh, r.logged) },
 		func(c int) {
 			covered = c
-			if ordered {
-				sh.tree.BulkLoad(tkeys[:c], vals[:c])
+			for _, k := range r.deletes {
+				sh.tree.Delete(k)
+			}
+			if r.ordered {
+				sh.tree.BulkLoadMixed(r.keys[:c], r.vals[:c], r.hasv)
 				return
 			}
-			// Pre-processing broke the order (documented only across the
-			// <4-byte / ≥4-byte key-length boundary): per-key fallback.
-			var scratch [opScratchSize]byte
-			for _, p := range pairs[:c] {
-				sh.tree.Put(s.transformAppend(scratch[:0], p.Key), p.Value)
+			for i := range c {
+				if r.hasv == nil || r.hasv[i] {
+					sh.tree.Put(r.keys[i], r.vals[i])
+				} else {
+					sh.tree.PutKey(r.keys[i])
+				}
 			}
 		})
 	return covered
 }
 
-// transformRun builds the stored-form key and value slices of a run. With
-// key pre-processing the transformed keys are packed into one flat buffer
-// (pre-sized exactly, so the sub-slices stay stable); ok is false when the
-// transformation did not preserve the run's strict order.
-func (s *Store) transformRun(pairs []Pair) ([][]byte, []uint64, bool) {
-	tkeys := make([][]byte, len(pairs))
-	vals := make([]uint64, len(pairs))
+// transformRun builds the stored-form run of a sorted run of pairs, logged
+// as the pairs themselves.
+func (s *Store) transformRun(pairs []Pair) *storedRun {
+	r := &storedRun{keys: make([][]byte, len(pairs)), vals: make([]uint64, len(pairs)), logged: pairs}
+	for i := range pairs {
+		r.keys[i], r.vals[i] = pairs[i].Key, pairs[i].Value
+	}
+	r.ordered = s.storeKeys(r.keys)
+	return r
+}
+
+// storeKeys turns strictly increasing raw keys into their stored form in
+// place, packed into one exactly sized buffer, and reports whether they still
+// increase strictly: pre-processing can break the order, only across the
+// <4-byte / ≥4-byte key-length boundary.
+func (s *Store) storeKeys(ks [][]byte) (ordered bool) {
 	if !s.opts.KeyPreprocessing {
-		for i := range pairs {
-			tkeys[i] = pairs[i].Key
-			vals[i] = pairs[i].Value
-		}
-		return tkeys, vals, true
+		return true
 	}
 	total := 0
-	for i := range pairs {
-		total += keys.PreprocessedLen(len(pairs[i].Key))
+	for _, k := range ks {
+		total += keys.PreprocessedLen(len(k))
 	}
 	flat := make([]byte, 0, total)
-	for i := range pairs {
+	ordered = true
+	for i, k := range ks {
 		start := len(flat)
-		flat = keys.PreprocessAppend(flat, pairs[i].Key)
-		tkeys[i] = flat[start:len(flat):len(flat)]
-		vals[i] = pairs[i].Value
-		if i > 0 && bytes.Compare(tkeys[i-1], tkeys[i]) >= 0 {
-			return nil, nil, false
+		flat = keys.PreprocessAppend(flat, k)
+		ks[i] = flat[start:len(flat):len(flat)]
+		if i > 0 && ordered && bytes.Compare(ks[i-1], ks[i]) >= 0 {
+			ordered = false
 		}
 	}
-	return tkeys, vals, true
+	return ordered
 }

@@ -3,9 +3,9 @@ package hyperion
 // Durable snapshots. A snapshot is the store's full content serialized in
 // global lexicographic order, shaped so that recovery runs at bulk-ingest
 // speed instead of per-key Put speed: the file is one sorted run cut into
-// per-arena sections, and Load feeds each section straight into the
-// append-only bulk-ingestion path (bulk.go), sections decoding in parallel
-// on the worker pool.
+// per-arena sections. Load reads the file in one piece, verifies every
+// checksum, and decodes each section in one pass into the run its arena's
+// bulk builder takes, applied with one writeRun (bulk.go), in parallel.
 //
 // On-disk layout (all integers little-endian, varints are encoding/binary
 // uvarints):
@@ -44,6 +44,7 @@ package hyperion
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,7 +52,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
+
+	"repro/internal/keys"
 )
 
 const (
@@ -240,38 +242,41 @@ func commonPrefixLen(a, b []byte) int {
 }
 
 // LoadFile rebuilds a store from a snapshot file written by SaveFile (or
-// Save). See Load for the validation and options contract.
+// Save), read in one piece. See Load for the validation and options contract.
 func LoadFile(path string, opts Options) (*Store, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("hyperion: open snapshot: %w", err)
+		return nil, fmt.Errorf("hyperion: read snapshot: %w", err)
 	}
-	defer f.Close() //nolint:errsink read-only handle; every read was already validated
-	return Load(bufio.NewReaderSize(f, 1<<20), opts)
+	return loadBytes(buf, opts)
 }
 
-// snapSection is one arena section pulled off the stream, checksum-verified
-// but not yet decoded.
-type snapSection struct {
-	count   uint64
-	payload []byte
-}
-
-// Load rebuilds a store from a snapshot stream. The header and every section
-// checksum are validated before any key is ingested, so a damaged snapshot
-// fails with an error wrapping ErrCorruptSnapshot and never yields a
-// half-loaded store. opts configures the new store and must agree with the
-// snapshot on KeyPreprocessing (recorded in the header); the arena count may
-// differ — sections re-route through the leading-byte arena mapping on load.
-//
-// Recovery runs at bulk-ingest speed: sections decode in parallel on the
-// worker pool, and each section's sorted run goes through the append-only
-// BulkLoad fast path instead of per-key puts.
+// Load rebuilds a store from a snapshot stream, read to its end first. The
+// header and every section checksum are validated before any key is
+// ingested, so a damaged snapshot fails with an error wrapping
+// ErrCorruptSnapshot and never yields a half-loaded store. opts configures
+// the new store and must agree with the snapshot on KeyPreprocessing
+// (recorded in the header); the arena count may differ — keys re-route
+// through the leading-byte arena mapping on load.
 func Load(r io.Reader, opts Options) (*Store, error) {
-	var hdr [snapHeaderSize + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, corruptf("header truncated: %v", err)
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead) // in memory: one exact read
 	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("hyperion: read snapshot: %w", err)
+	}
+	return loadBytes(buf.Bytes(), opts)
+}
+
+// loadBytes rebuilds a store from a whole snapshot image. Every length field
+// is checked against what is left of buf before it is used, so no header
+// value sizes an allocation.
+func loadBytes(buf []byte, opts Options) (*Store, error) {
+	if len(buf) < snapHeaderSize+4 {
+		return nil, corruptf("header truncated: %d bytes", len(buf))
+	}
+	hdr := buf[:snapHeaderSize+4]
 	if string(hdr[0:8]) != snapshotMagic {
 		return nil, corruptf("bad magic %q", hdr[0:8])
 	}
@@ -294,25 +299,25 @@ func Load(r io.Reader, opts Options) (*Store, error) {
 	}
 	wantKeys := binary.LittleEndian.Uint64(hdr[16:24])
 
-	// Sequential read phase: every section is pulled in and checksum-verified
-	// before anything is ingested.
-	sections := make([]snapSection, arenas)
-	for i := range sections {
-		if err := readSection(r, i, &sections[i]); err != nil {
+	// Every section is located and checksum-verified before anything is
+	// ingested.
+	payloads, counts := make([][]byte, arenas), make([]uint64, arenas)
+	rest := buf[len(hdr):]
+	for i := range payloads {
+		var err error
+		if payloads[i], counts[i], rest, err = cutSection(rest, i); err != nil {
 			return nil, err
 		}
 	}
-	var tail [1]byte
-	if n, _ := io.ReadFull(r, tail[:]); n != 0 {
+	if len(rest) != 0 {
 		return nil, corruptf("trailing data after final section")
 	}
 
 	// Parallel ingest phase.
 	st := New(opts)
-	counts := make([]uint64, arenas)
 	errs := make([]error, arenas)
 	st.runIndexed(arenas, func(i int) {
-		counts[i], errs[i] = st.loadSection(i, &sections[i])
+		errs[i] = st.loadSection(i, counts[i], payloads[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -329,157 +334,140 @@ func Load(r io.Reader, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// readSection reads the section expected to carry arena index want and
-// verifies its checksum.
-func readSection(r io.Reader, want int, sec *snapSection) error {
-	var hdr [snapSectionHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return corruptf("section %d header truncated: %v", want, err)
+// cutSection takes the checksum-verified section of arena want off the front
+// of b: its payload (aliasing b), its key count and what follows it.
+func cutSection(b []byte, want int) (payload []byte, count uint64, rest []byte, err error) {
+	if len(b) < snapSectionHeaderSize {
+		return nil, 0, nil, corruptf("section %d header truncated", want)
 	}
-	if a := int(binary.LittleEndian.Uint16(hdr[0:2])); a != want {
-		return corruptf("section %d carries arena index %d", want, a)
+	if a := int(binary.LittleEndian.Uint16(b[0:2])); a != want {
+		return nil, 0, nil, corruptf("section %d carries arena index %d", want, a)
 	}
-	sec.count = binary.LittleEndian.Uint64(hdr[4:12])
-	plen := binary.LittleEndian.Uint64(hdr[12:20])
-	payload, err := readExactly(r, plen)
-	if err != nil {
-		return corruptf("section %d payload truncated: %v", want, err)
+	plen := binary.LittleEndian.Uint64(b[12:20])
+	if plen > uint64(len(b)-snapSectionHeaderSize) {
+		return nil, 0, nil, corruptf("section %d payload truncated: %d bytes promised, %d left", want, plen, len(b)-snapSectionHeaderSize)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return corruptf("section %d checksum truncated: %v", want, err)
+	end := snapSectionHeaderSize + int(plen)
+	if len(b)-end < 4 {
+		return nil, 0, nil, corruptf("section %d checksum truncated", want)
 	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != crc {
-		return corruptf("section %d checksum mismatch (got %08x, want %08x)", want, got, crc)
+	if got, crc := binary.LittleEndian.Uint32(b[end:]), crc32.ChecksumIEEE(b[:end]); got != crc {
+		return nil, 0, nil, corruptf("section %d checksum mismatch (got %08x, want %08x)", want, got, crc)
 	}
-	sec.payload = payload
-	return nil
+	return b[snapSectionHeaderSize:end], binary.LittleEndian.Uint64(b[4:12]), b[end+4:], nil
 }
 
-// readExactly reads n bytes in bounded steps. The length comes from an
-// untrusted header field, so a corrupted value must surface as a truncation
-// error — never as an attempt to allocate the corrupted length up front.
-func readExactly(r io.Reader, n uint64) ([]byte, error) {
-	const step = 1 << 20
-	buf := make([]byte, 0, int(min(n, step)))
-	for uint64(len(buf)) < n {
-		take := int(min(n-uint64(len(buf)), step))
-		old := len(buf)
-		buf = slices.Grow(buf, take)[:old+take]
-		if _, err := io.ReadFull(r, buf[old:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// loadFlushBytes bounds how many reconstructed key bytes loadSection
-// buffers before handing the decoded run to the store. The delta encoding
-// lets a small payload legitimately expand (shared prefixes are stored
-// once), so the total decoded size is NOT bounded by the payload size; a
-// crafted payload could exploit that quadratically. Flushing in bounded
-// batches caps the decoder's transient memory at O(payload + loadFlushBytes)
-// no matter what the input claims — the store then holds whatever the data
-// really is, exactly as if it had been ingested directly. The bound is
-// generous because each flush after the first merges into a non-empty tree,
-// which is slower than the empty-store bulk path; ordinary sections stay
-// below it and ingest in one shot.
+// loadFlushBytes bounds the key storage loadSection holds before it hands
+// the decoded run to the store. The delta encoding lets a small payload
+// legitimately expand (shared prefixes are stored once), so the decoded size
+// is NOT bounded by the payload size; a crafted payload could exploit that
+// quadratically. Flushing in bounded runs and recycling the key slabs caps
+// the decoder's memory at O(payload + loadFlushBytes) whatever the input
+// claims. The bound is generous because each flush after the first merges
+// into a non-empty tree, slower than the empty-store bulk path; ordinary
+// sections stay below it and ingest in one writeRun.
 const loadFlushBytes = 32 << 20
 
-// loadSection decodes one checksum-verified section and ingests it in
-// bounded batches: valued keys form sorted runs for the bulk-ingestion fast
-// path, bare (PutKey) keys — which the container encoding's bulk builder
-// does not carry — are stored individually per batch. Returns the number of
-// keys ingested.
-func (s *Store) loadSection(arena int, sec *snapSection) (uint64, error) {
-	p := sec.payload
-	if maxPairs := uint64(len(p))/2 + 1; sec.count > maxPairs {
-		return 0, corruptf("section %d claims %d keys in %d payload bytes", arena, sec.count, len(p))
+// keySlabs hands out key storage from slabs that never regrow, so what it
+// hands out stays valid until zeroing cur, off and held recycles the slabs.
+// held counts the bytes handed out or skipped at slab ends since then.
+type keySlabs struct {
+	slabs          [][]byte
+	cur, off, held int
+	size           int // of a regular slab; a longer key gets its own
+}
+
+func (k *keySlabs) take(n int) []byte {
+	for ; k.cur < len(k.slabs); k.cur, k.off = k.cur+1, 0 {
+		if s := k.slabs[k.cur]; k.off+n <= len(s) {
+			k.off, k.held = k.off+n, k.held+n
+			return s[k.off-n : k.off : k.off]
+		}
+		k.held += len(k.slabs[k.cur]) - k.off
 	}
-	var flat []byte
-	offs := make([]int, 1, min(sec.count+1, 64*1024))
-	vals := make([]uint64, 0, cap(offs)-1)
-	hasv := make([]bool, 0, cap(offs)-1)
-	prevStart, prevLen := 0, 0
+	k.slabs = append(k.slabs, make([]byte, max(n, k.size)))
+	return k.take(n)
+}
+
+// loadSection decodes one checksum-verified section in one pass into a
+// stored-form run (keys pre-processed into slabs as they are decoded, values
+// and the valued/bare flag alongside) and ingests it through writeRun, in
+// runs of at most loadFlushBytes of keys. A run that is not strictly
+// increasing (only a crafted file holds one) goes key by key in file order,
+// to what a Put/PutKey loop over the file leaves.
+func (s *Store) loadSection(arena int, count uint64, p []byte) error {
+	if maxPairs := uint64(len(p))/2 + 1; count > maxPairs {
+		return corruptf("section %d claims %d keys in %d payload bytes", arena, count, len(p))
+	}
+	run := storedRun{keys: make([][]byte, 0, count), vals: make([]uint64, 0, count), hasv: make([]bool, 0, count), ordered: true}
+	slabs := keySlabs{size: min(1<<20, 2*len(p)+64)}
+	var raw []byte // the previous key, raw: the delta base of the next
 	var total uint64
-
-	// ingest stores the pending decoded pairs and resets the batch buffers,
-	// keeping only the previous key's bytes (the next pair's delta base).
-	// BulkLoad and PutKey copy what they store, so the buffers are free to
-	// be reused afterwards.
-	ingest := func() {
-		n := len(offs) - 1
-		if n == 0 {
-			return
-		}
-		pairs := make([]Pair, 0, n)
-		var bare [][]byte
-		for i := 0; i < n; i++ {
-			k := flat[offs[i]:offs[i+1]:offs[i+1]]
-			if hasv[i] {
-				pairs = append(pairs, Pair{Key: k, Value: vals[i]})
-			} else {
-				bare = append(bare, k)
-			}
-		}
-		s.BulkLoad(pairs)
-		for _, k := range bare {
-			s.PutKey(k)
-		}
-		total += uint64(n)
-		keep := append([]byte(nil), flat[prevStart:prevStart+prevLen]...)
-		flat = append(flat[:0], keep...)
-		prevStart = 0
-		offs = append(offs[:0], prevLen)
-		vals, hasv = vals[:0], hasv[:0]
-	}
-
-	pos := 0
-	for pos < len(p) {
+	for pos := 0; pos < len(p); {
 		lcp, n := binary.Uvarint(p[pos:])
 		if n <= 0 {
-			return 0, corruptf("section %d: bad prefix-length varint at offset %d", arena, pos)
+			return corruptf("section %d: bad prefix-length varint at offset %d", arena, pos)
 		}
 		pos += n
 		head, n := binary.Uvarint(p[pos:])
 		if n <= 0 {
-			return 0, corruptf("section %d: bad suffix-length varint at offset %d", arena, pos)
+			return corruptf("section %d: bad suffix-length varint at offset %d", arena, pos)
 		}
 		pos += n
 		suffixLen := head >> 1
-		if lcp > uint64(prevLen) {
-			return 0, corruptf("section %d: prefix length %d exceeds previous key length %d", arena, lcp, prevLen)
+		if lcp > uint64(len(raw)) {
+			return corruptf("section %d: prefix length %d exceeds previous key length %d", arena, lcp, len(raw))
 		}
 		if suffixLen > uint64(len(p)-pos) {
-			return 0, corruptf("section %d: suffix length %d exceeds remaining payload", arena, suffixLen)
+			return corruptf("section %d: suffix length %d exceeds remaining payload", arena, suffixLen)
 		}
-		start := len(flat)
-		flat = append(flat, flat[prevStart:prevStart+int(lcp)]...)
-		flat = append(flat, p[pos:pos+int(suffixLen)]...)
+		// The new key shares raw[:lcp]: it sorts above raw when suffix sorts
+		// above raw[lcp:], and stored keys keep that order unless
+		// pre-processing puts the two across the 4-byte length boundary.
+		suffix := p[pos : pos+int(suffixLen)]
+		up := suffixLen > 0 && (lcp == uint64(len(raw)) || suffix[0] > raw[lcp] || suffix[0] == raw[lcp] && bytes.Compare(raw[lcp:], suffix) < 0)
+		crossed := s.opts.KeyPreprocessing && (len(raw) < 4) != (lcp+suffixLen < 4)
+		raw = append(raw[:lcp], suffix...)
 		pos += int(suffixLen)
-		prevStart, prevLen = start, len(flat)-start
-		offs = append(offs, len(flat))
+		var v uint64
 		if head&1 != 0 {
-			v, n := binary.Uvarint(p[pos:])
-			if n <= 0 {
-				return 0, corruptf("section %d: bad value varint at offset %d", arena, pos)
+			if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+				return corruptf("section %d: bad value varint at offset %d", arena, pos)
 			}
 			pos += n
-			vals = append(vals, v)
-			hasv = append(hasv, true)
+		}
+		var k []byte
+		if s.opts.KeyPreprocessing {
+			k = keys.PreprocessAppend(slabs.take(keys.PreprocessedLen(len(raw)))[:0], raw)
 		} else {
-			vals = append(vals, 0)
-			hasv = append(hasv, false)
+			k = slabs.take(len(raw))
+			copy(k, raw)
 		}
-		if len(flat) >= loadFlushBytes {
-			ingest()
+		if m := len(run.keys); m > 0 && (!up || crossed && bytes.Compare(run.keys[m-1], k) >= 0) {
+			run.ordered = false
+		}
+		run.keys = append(run.keys, k)
+		run.vals = append(run.vals, v)
+		run.hasv = append(run.hasv, head&1 != 0)
+		if slabs.held >= loadFlushBytes {
+			total += s.ingestRun(&run)
+			slabs.cur, slabs.off, slabs.held = 0, 0, 0 // recycle the slabs
 		}
 	}
-	ingest()
-	if total != sec.count {
-		return 0, corruptf("section %d decoded %d keys, header promises %d", arena, total, sec.count)
+	total += s.ingestRun(&run)
+	if total != count {
+		return corruptf("section %d decoded %d keys, header promises %d", arena, total, count)
 	}
-	return total, nil
+	return nil
+}
+
+// ingestRun stores a decoded section run with one writeRun per arena span
+// (one, unless the file was saved under another arena count) and empties it.
+func (s *Store) ingestRun(run *storedRun) uint64 {
+	n := len(run.keys)
+	for _, sp := range s.arenaSpans(n, func(i int) []byte { return run.keys[i] }) {
+		s.writeRun(s.shards[sp.arena], &storedRun{keys: run.keys[sp.lo:sp.hi], vals: run.vals[sp.lo:sp.hi], hasv: run.hasv[sp.lo:sp.hi], ordered: run.ordered})
+	}
+	run.keys, run.vals, run.hasv, run.ordered = run.keys[:0], run.vals[:0], run.hasv[:0], true
+	return uint64(n)
 }

@@ -18,7 +18,7 @@ package hyperion
 // bulk-ingest fast path": the checkpoint snapshot (checkpoint.hyp in the WAL
 // directory) is loaded first, then each shard's surviving segments are
 // replayed, one shard per worker: the tail is reduced to each key's net
-// effect and fed to the shard's arena through writeRun/PutKey/Delete. A torn
+// effect and fed to the shard's arena as one run (writeRun). A torn
 // or corrupt tail of the newest segment is truncated cleanly (a crash
 // legitimately leaves one); the same damage anywhere else surfaces
 // wal.ErrCorruptWAL — never a panic, never silently invented data.
@@ -299,65 +299,51 @@ func (s *Store) readTail(shardID int, t *shardTail) error {
 }
 
 // applyTail is replay phase 2 for one shard: the clear first (it precedes
-// every surviving op), then each key's net effect. The surviving puts form
-// one strictly increasing run, so they go to the arena through writeRun, the
-// bulk-ingest path BulkLoad uses per arena; putkeys and deletes follow per
-// key. Keys alias t.keybuf; the tree copies what it keeps. No shard has a log
-// attached yet, so nothing here is re-logged.
+// every surviving op), then each key's net effect as one writeRun. Keys
+// alias t.keybuf; the tree copies what it keeps. No shard has a log attached
+// yet, so nothing here is re-logged.
 func (s *Store) applyTail(sh *shard, t *shardTail) {
 	if t.cleared {
 		s.clearShard(sh)
 	}
 	sortTail(t.recs, t.keybuf)
-	// Reduce each equal-key run to its net effect, compacted to the front of
-	// recs: the last op wins, except that a putkey keeps the value of a key
-	// that has one, so a trailing putkey defers to the latest put or delete
-	// before it. A put wins outright; a delete stays, followed by the
-	// putkey. Equal keys carry equal words, so differing words skip the key
-	// compare.
-	recs := t.recs[:0]
-	for lo := 0; lo < len(t.recs); {
+	// Reduce each equal-key run to its net effect: the last op wins, except
+	// that a putkey keeps the value of a key that has one, so a trailing
+	// putkey defers to the latest put or delete before it. A put wins
+	// outright; a delete stays, followed by the putkey, which is why the
+	// run's deletes go first. Equal keys carry equal words, so differing
+	// words skip the key compare.
+	n := len(t.recs)
+	run := &storedRun{keys: make([][]byte, 0, n), vals: make([]uint64, 0, n), hasv: make([]bool, 0, n)}
+	for lo := 0; lo < n; {
 		hi := lo + 1
-		for hi < len(t.recs) && t.recs[hi].word == t.recs[lo].word && bytes.Equal(t.key(&t.recs[hi]), t.key(&t.recs[lo])) {
+		for hi < n && t.recs[hi].word == t.recs[lo].word && bytes.Equal(t.key(&t.recs[hi]), t.key(&t.recs[lo])) {
 			hi++
 		}
-		last := t.recs[hi-1]
+		last := &t.recs[hi-1]
 		if last.kind == walOpPutKey {
 			j := hi - 2
 			for j >= lo && t.recs[j].kind == walOpPutKey {
 				j--
 			}
 			if j >= lo && t.recs[j].kind == walOpPut {
-				last = t.recs[j]
+				last = &t.recs[j]
 			} else if j >= lo {
-				recs = append(recs, t.recs[j])
+				run.deletes = append(run.deletes, t.key(&t.recs[j]))
 			}
 		}
-		recs = append(recs, last)
+		if last.kind == walOpDelete {
+			run.deletes = append(run.deletes, t.key(last))
+		} else {
+			run.keys = append(run.keys, t.key(last))
+			run.vals = append(run.vals, last.value)
+			run.hasv = append(run.hasv, last.kind == walOpPut)
+		}
 		lo = hi
 	}
-	pairs := make([]Pair, 0, len(recs))
-	for i := range recs {
-		if r := &recs[i]; r.kind == walOpPut {
-			pairs = append(pairs, Pair{Key: t.key(r), Value: r.value})
-		}
-	}
-	if len(pairs) > 0 && len(pairs[0].Key) == 0 {
-		// The empty key sorts first and cannot enter the core bulk builder.
-		s.Put(pairs[0].Key, pairs[0].Value)
-		pairs = pairs[1:]
-	}
-	if len(pairs) > 0 {
-		s.writeRun(sh, pairs)
-	}
-	for i := range recs {
-		switch r := &recs[i]; r.kind {
-		case walOpPutKey:
-			s.PutKey(t.key(r))
-		case walOpDelete:
-			s.Delete(t.key(r))
-		}
-	}
+	s.storeKeys(run.deletes)
+	run.ordered = s.storeKeys(run.keys)
+	s.writeRun(sh, run)
 }
 
 // sortTail orders a tail's records by key (bytes.Compare order) and equal

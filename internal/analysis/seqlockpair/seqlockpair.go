@@ -49,7 +49,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// combinator. The tree implementation itself (repro/internal/core) and
 	// single-owner users mutate trees freely.
 	if declaresFunc(pass, combinator) {
-		for _, m := range []string{"Put", "PutKey", "Delete", "BulkLoad", "Clear"} {
+		for _, m := range []string{"Put", "PutKey", "Delete", "BulkLoad", "BulkLoadMixed", "Clear"} {
 			cfg.UnderOpen = append(cfg.UnderOpen, flowcheck.UnderOpenSpec{Call: m, RecvType: "Tree", Pair: seqPair})
 		}
 		for _, m := range []string{"walEnqueueOp", "walEnqueueBatch", "walEnqueuePairs"} {

@@ -13,6 +13,7 @@ func (t *Tree) Put(k []byte, v uint64) {}
 func (t *Tree) PutKey(k []byte)        {}
 func (t *Tree) Delete(k []byte) bool   { return false }
 func (t *Tree) BulkLoad(n int)         {}
+func (t *Tree) BulkLoadMixed(n int)    {}
 func (t *Tree) Clear()                 {}
 func (t *Tree) Get(k []byte) uint64    { return 0 }
 
@@ -92,7 +93,8 @@ func (s *Store) bodyElsewhere(k []byte) {
 
 // bulkBare and clearBare are the mutators the old list missed.
 func bulkBare(t *Tree) {
-	t.BulkLoad(1) // want `BulkLoad called outside an open BeginWrite/EndWrite bracket`
+	t.BulkLoad(1)      // want `BulkLoad called outside an open BeginWrite/EndWrite bracket`
+	t.BulkLoadMixed(1) // want `BulkLoadMixed called outside an open BeginWrite/EndWrite bracket`
 }
 
 func clearBare(t *Tree) {

@@ -60,22 +60,36 @@ func blockEstimate(keyLen, d int) int { return 2*(keyLen-d) + bulkKeyOverhead }
 
 // BulkLoad ingests a sorted run of key/value pairs with put-overwrite
 // semantics. The caller must guarantee that keys are strictly increasing in
-// lexicographic order and non-empty; vals is indexed in parallel. The public
-// hyperion layer enforces both (and routes unsorted input to the per-key
-// path).
+// lexicographic order; vals is indexed in parallel. A leading empty key,
+// which the container encoding cannot hold, is stored beside it. The public
+// hyperion layer enforces the order (and routes unsorted input to the
+// per-key path).
 func (t *Tree) BulkLoad(keys [][]byte, vals []uint64) {
-	if len(keys) == 0 {
+	t.BulkLoadMixed(keys, vals, nil)
+}
+
+// BulkLoadMixed is BulkLoad for a run that mixes valued and bare keys:
+// hasv[i] false stores keys[i] with PutKey semantics, so it keeps the value
+// of an existing valued key. A nil hasv means every key has a value;
+// otherwise hasv holds at least len(keys) flags.
+func (t *Tree) BulkLoadMixed(keys [][]byte, vals []uint64, hasv []bool) {
+	lo := 0
+	if len(keys) > 0 && len(keys[0]) == 0 {
+		t.put(keys[0], vals[0], hasv == nil || hasv[0])
+		lo = 1
+	}
+	if lo == len(keys) {
 		return
 	}
-	b := &bulkBuilder{t: t, keys: keys, vals: vals}
+	b := &bulkBuilder{t: t, keys: keys, vals: vals, hasv: hasv}
 	if t.rootHP.IsNil() {
-		enc := b.buildStream(t.bulkScratch[:0], 0, len(keys), 0, true, -1)
+		enc := b.buildStream(t.bulkScratch[:0], lo, len(keys), 0, true, -1)
 		t.rootHP = b.materializeStream(enc)
 		t.stashBulkScratch(enc)
-		t.stats.Keys += int64(len(keys))
+		t.stats.Keys += int64(len(keys) - lo)
 		return
 	}
-	b.mergeContainer(func(k0 byte) containerSlot { return t.rootSlot(k0) }, 0, len(keys), 0)
+	b.mergeContainer(func(k0 byte) containerSlot { return t.rootSlot(k0) }, lo, len(keys), 0)
 }
 
 // bulkBuilder carries the run and the reusable jump-table scratch of one
@@ -84,11 +98,26 @@ type bulkBuilder struct {
 	t    *Tree
 	keys [][]byte
 	vals []uint64
+	hasv []bool // nil: every key has a value
 	// S-Node offsets (relative to the owning T-Node) and keys of the group
 	// currently being encoded, recorded only while a T-Node jump table is
 	// being laid down.
 	jtOff []int
 	jtKey []byte
+}
+
+// hasValue reports whether keys[i] carries a value (Put) or is bare (PutKey).
+func (b *bulkBuilder) hasValue(i int) bool { return b.hasv == nil || b.hasv[i] }
+
+// appendTerminal turns the node head at idx into the ending of keys[i]:
+// valued with its value appended, or bare.
+func (b *bulkBuilder) appendTerminal(enc []byte, idx, i int) []byte {
+	if !b.hasValue(i) {
+		setNodeType(enc[idx:], 0, typeKey)
+		return enc
+	}
+	setNodeType(enc[idx:], 0, typeKeyVal)
+	return appendValueBytes(enc, b.vals[i])
 }
 
 // distinctSKeys counts the distinct values of key[d] over keys[lo:hi).
@@ -123,8 +152,7 @@ func (b *bulkBuilder) buildStream(enc []byte, lo, hi, d int, topLevel bool, prev
 		prevT = int(k0)
 		if len(b.keys[i]) == d+1 {
 			// The key ending at this T-Node sorts first within the group.
-			setNodeType(enc[tIdx:], 0, typeKeyVal)
-			enc = appendValueBytes(enc, b.vals[i])
+			enc = b.appendTerminal(enc, tIdx, i)
 			i++
 		}
 		// Jump metadata for wide T-Nodes, reserved up front and filled once
@@ -197,8 +225,7 @@ func (b *bulkBuilder) buildSRun(enc []byte, lo, hi, d, prevS int, jt bool, tIdx 
 		}
 		sTerm := len(b.keys[i]) == d+1
 		if sTerm {
-			setNodeType(enc[sIdx:], 0, typeKeyVal)
-			enc = appendValueBytes(enc, b.vals[i])
+			enc = b.appendTerminal(enc, sIdx, i)
 			i++
 		}
 		switch {
@@ -207,9 +234,9 @@ func (b *bulkBuilder) buildSRun(enc []byte, lo, hi, d, prevS int, jt bool, tIdx 
 		case sEnd-i == 1:
 			rest := b.keys[i][d+1:]
 			if sTerm {
-				enc = t.appendSingleChild(enc, sIdx, rest, b.vals[i], true)
+				enc = t.appendSingleChild(enc, sIdx, rest, b.vals[i], b.hasValue(i))
 			} else {
-				enc = t.appendLeafTail(enc, sIdx, rest, b.vals[i], true)
+				enc = t.appendLeafTail(enc, sIdx, rest, b.vals[i], b.hasValue(i))
 			}
 			i++
 		default:
@@ -404,7 +431,7 @@ func (b *bulkBuilder) mergeContainer(reslot func(k0 byte) containerSlot, lo, hi,
 		e.topT = tPos
 
 		if len(key) == d+1 {
-			if t.setTerminal(&e, tPos, b.vals[i], true) {
+			if t.setTerminal(&e, tPos, b.vals[i], b.hasValue(i)) {
 				continue
 			}
 			i++
@@ -450,7 +477,7 @@ func (b *bulkBuilder) mergeContainer(reslot func(k0 byte) containerSlot, lo, hi,
 		sPos := ss.pos
 
 		if len(key) == d+2 {
-			if t.setTerminal(&e, sPos, b.vals[i], true) {
+			if t.setTerminal(&e, sPos, b.vals[i], b.hasValue(i)) {
 				continue
 			}
 			i++
@@ -477,7 +504,7 @@ func (b *bulkBuilder) mergeContainer(reslot func(k0 byte) containerSlot, lo, hi,
 
 		case childNone:
 			if j-i == 1 {
-				_, _, restart, _ := t.putBelowSNode(&e, sPos, key[d+2:], b.vals[i], true)
+				_, _, restart, _ := t.putBelowSNode(&e, sPos, key[d+2:], b.vals[i], b.hasValue(i))
 				if restart {
 					continue
 				}
@@ -507,7 +534,7 @@ func (b *bulkBuilder) mergeContainer(reslot func(k0 byte) containerSlot, lo, hi,
 
 		default: // childEmbedded, childPC: per-key fallback
 			for k := i; k < j; k++ {
-				t.putLoop(reslot(b.keys[k][d]), b.keys[k][d:], b.vals[k], true)
+				t.putLoop(reslot(b.keys[k][d]), b.keys[k][d:], b.vals[k], b.hasValue(k))
 			}
 			i = j
 		}

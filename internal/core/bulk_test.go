@@ -283,3 +283,158 @@ func ExampleTree_BulkLoad() {
 	// beta=2
 	// gamma=3
 }
+
+// checkEqualWithPresence is checkEqualTrees plus the valued/bare distinction.
+func checkEqualWithPresence(t *testing.T, bulk, ref *Tree) {
+	t.Helper()
+	checkEqualTrees(t, bulk, ref)
+	var bh, rh []bool
+	bulk.Each(func(_ []byte, _ uint64, hasValue bool) bool { bh = append(bh, hasValue); return true })
+	ref.Each(func(_ []byte, _ uint64, hasValue bool) bool { rh = append(rh, hasValue); return true })
+	for i := range bh {
+		if bh[i] != rh[i] {
+			t.Fatalf("range key %d: bulk hasValue %v, per-key %v", i, bh[i], rh[i])
+		}
+	}
+}
+
+// putRun applies a run key by key: Put for valued keys, PutKey for bare ones.
+func putRun(tr *Tree, ks [][]byte, vs []uint64, hasv []bool) {
+	for i := range ks {
+		if hasv[i] {
+			tr.Put(ks[i], vs[i])
+		} else {
+			tr.PutKey(ks[i])
+		}
+	}
+}
+
+// everyNth marks every n-th key (from offset off) bare.
+func everyNth(count, n, off int) []bool {
+	hasv := make([]bool, count)
+	for i := range hasv {
+		hasv[i] = i%n != off
+	}
+	return hasv
+}
+
+// TestBulkLoadBareKeys: BulkLoadMixed with a hasv mask must leave the tree a
+// per-key Put/PutKey loop leaves, into an empty tree, merged over valued and
+// bare keys (a bare key over a valued one keeps its value, the leading empty
+// key included), and on runs that eject embedded containers and split
+// containers.
+func TestBulkLoadBareKeys(t *testing.T) {
+	t.Run("empty", func(t *testing.T) {
+		for _, cfg := range []Config{DefaultConfig(), IntegerConfig(), MinimalConfig()} {
+			rng := rand.New(rand.NewSource(3))
+			ks, vs := sortedRun(rng, 3000, 12, 5)
+			ks[0] = []byte{} // the empty key sorts first
+			hasv := everyNth(len(ks), 3, 1)
+			bulk, ref := New(cfg), New(cfg)
+			bulk.BulkLoadMixed(ks, vs, hasv)
+			putRun(ref, ks, vs, hasv)
+			checkEqualWithPresence(t, bulk, ref)
+		}
+	})
+	t.Run("merge", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 6; round++ {
+			cfg := DefaultConfig()
+			if round%2 == 1 {
+				cfg = IntegerConfig()
+			}
+			base, baseVals := sortedRun(rng, 1500, 10, 3+round)
+			baseHas := everyNth(len(base), 4, 0)
+			run, runVals := sortedRun(rng, 1500, 12, 3+round)
+			for i := 0; i < len(run); i += 2 {
+				run[i] = base[rng.Intn(len(base))]
+			}
+			run, runVals = dedupSorted(run, runVals)
+			runHas := everyNth(len(run), 3, round%3)
+			bulk, ref := New(cfg), New(cfg)
+			putRun(bulk, base, baseVals, baseHas)
+			putRun(ref, base, baseVals, baseHas)
+			bulk.BulkLoadMixed(run, runVals, runHas)
+			putRun(ref, run, runVals, runHas)
+			checkEqualWithPresence(t, bulk, ref)
+		}
+	})
+	t.Run("valued-kept", func(t *testing.T) {
+		tr := New(DefaultConfig())
+		ks := [][]byte{{}, []byte("a"), []byte("ab"), []byte("abc"), []byte("abcd"), []byte("abcdefghij")}
+		for i, k := range ks {
+			tr.Put(k, uint64(i+1))
+		}
+		tr.BulkLoadMixed(ks, make([]uint64, len(ks)), make([]bool, len(ks)))
+		for i, k := range ks {
+			if v, ok := tr.Get(k); !ok || v != uint64(i+1) {
+				t.Fatalf("bare key merged over %q: Get = %d,%v, want %d,true", k, v, ok, i+1)
+			}
+		}
+		if tr.Len() != int64(len(ks)) {
+			t.Fatalf("Len = %d, want %d", tr.Len(), len(ks))
+		}
+	})
+	t.Run("ejections", func(t *testing.T) {
+		// Two keys below each S-Node make embedded children; the run then
+		// grows them past the embedded limit.
+		var base, run [][]byte
+		for p := 0; p < 64; p++ {
+			base = append(base, []byte{'e', byte(p), 'q', 'r'}, []byte{'e', byte(p), 'q', 's'})
+			for j := 0; j < 40; j++ {
+				run = append(run, []byte{'e', byte(p), 'q', byte('a' + j), 'z', byte(j)})
+			}
+		}
+		vals := make([]uint64, len(run))
+		for i := range vals {
+			vals[i] = uint64(i)
+		}
+		run, vals = dedupSorted(run, vals)
+		baseVals := make([]uint64, len(base))
+		baseHas, runHas := everyNth(len(base), 2, 0), everyNth(len(run), 3, 0)
+		bulk, ref := New(DefaultConfig()), New(DefaultConfig())
+		putRun(bulk, base, baseVals, baseHas)
+		putRun(ref, base, baseVals, baseHas)
+		before := bulk.Stats().Ejections
+		bulk.BulkLoadMixed(run, vals, runHas)
+		putRun(ref, run, vals, runHas)
+		checkEqualWithPresence(t, bulk, ref)
+		if bulk.Stats().Ejections == before {
+			t.Fatalf("run did not eject an embedded container")
+		}
+	})
+	t.Run("splits", func(t *testing.T) {
+		const n = 200_000
+		ks := make([][]byte, n)
+		vs := make([]uint64, n)
+		blob := make([]byte, n*keys.Uint64Size)
+		for i := range ks {
+			ks[i] = blob[i*keys.Uint64Size : (i+1)*keys.Uint64Size]
+			keys.PutUint64(ks[i], uint64(i)*7)
+			vs[i] = uint64(i)
+		}
+		// Every other key first, key by key, so the second run merges into
+		// containers that must split.
+		var lo, hi [][]byte
+		var loV, hiV []uint64
+		for i := range ks {
+			if i%2 == 0 {
+				lo, loV = append(lo, ks[i]), append(loV, vs[i])
+			} else {
+				hi, hiV = append(hi, ks[i]), append(hiV, vs[i])
+			}
+		}
+		loHas, hiHas := everyNth(len(lo), 5, 2), everyNth(len(hi), 7, 3)
+		cfg := IntegerConfig()
+		bulk, ref := New(cfg), New(cfg)
+		putRun(bulk, lo, loV, loHas)
+		putRun(ref, lo, loV, loHas)
+		before := bulk.Stats().Splits
+		bulk.BulkLoadMixed(hi, hiV, hiHas)
+		putRun(ref, hi, hiV, hiHas)
+		checkEqualWithPresence(t, bulk, ref)
+		if bulk.Stats().Splits == before {
+			t.Fatalf("run did not split a container")
+		}
+	})
+}
