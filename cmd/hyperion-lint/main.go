@@ -1,11 +1,11 @@
 // Command hyperion-lint is the multichecker for the hyperion invariant
 // analyzers (see DESIGN.md "Static analysis & invariant enforcement"):
 //
-//	seqlockpair  BeginWrite/EndWrite and shard write brackets pair on all paths
-//	pinbalance   epoch pins are released on all paths, panic paths via defer
 //	errsink      Sync/Close/Flush/Truncate errors are not silently dropped
 //	noallocmark  //hyperion:noalloc functions contain no allocating constructs
 //	padalign     //hyperion:cacheline structs are cache-line multiples
+//	bracket      BeginWrite/EndWrite and Pin stay in shardWrite/shardRead;
+//	             tree mutations and WAL enqueues stay in shardWrite bodies
 //
 // Usage:
 //

@@ -273,10 +273,10 @@ func resizeResults(dst []Result, n int) []Result {
 }
 
 // applyOp executes one operation against a shard tree; k is the
-// already-transformed key. The mutating kinds are reached only from shardWrite
-// bodies (writeOp, applyGroup), the reading kinds also from shardRead bodies.
+// already-transformed key. It runs only inside shardWrite bodies (writeOp,
+// applyGroup); shardRead bodies call readOp.
 //
-//nolint:seqlockpair the mutating arms run only inside shardWrite bodies, which hold the bracket open
+//hyperion:inbracket
 func applyOp(t *core.Tree, op Op, k []byte) Result {
 	switch op.Kind {
 	case OpPut:
@@ -285,13 +285,21 @@ func applyOp(t *core.Tree, op Op, k []byte) Result {
 	case OpPutKey:
 		t.PutKey(k)
 		return Result{Ok: true}
+	case OpDelete:
+		return Result{Ok: t.Delete(k)}
+	}
+	return readOp(t, op, k)
+}
+
+// readOp executes one reading operation (OpGet, OpHas) against a shard tree;
+// any other kind gets the zero Result.
+func readOp(t *core.Tree, op Op, k []byte) Result {
+	switch op.Kind {
 	case OpGet:
 		v, ok := t.Get(k)
 		return Result{Value: v, Ok: ok}
 	case OpHas:
 		return Result{Ok: t.Has(k)}
-	case OpDelete:
-		return Result{Ok: t.Delete(k)}
 	}
 	return Result{}
 }

@@ -285,11 +285,11 @@ func (s *Store) readApplyGroup(sh *shard, ops []Op, opIdx []int32, results []Res
 		var scratch [opScratchSize]byte
 		if opIdx == nil {
 			for i, op := range ops {
-				results[i] = applyOp(sh.tree, op, s.transformAppend(scratch[:0], op.Key))
+				results[i] = readOp(sh.tree, op, s.transformAppend(scratch[:0], op.Key))
 			}
 		} else {
 			for _, i := range opIdx {
-				results[i] = applyOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
+				results[i] = readOp(sh.tree, ops[i], s.transformAppend(scratch[:0], ops[i].Key))
 			}
 		}
 	})

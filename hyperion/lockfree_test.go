@@ -505,6 +505,9 @@ func TestShardReadUnderWriter(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+	if !epochAdvances(s) {
+		t.Fatal("epoch cannot advance after the readers returned: pin leaked")
+	}
 }
 
 // fnvValue gives every key one value, a function of its bytes (FNV-1a), so
@@ -596,6 +599,9 @@ func underChurn(t *testing.T, read func(s *Store, stable [][]byte, i int) string
 	}
 	stop.Store(true)
 	wg.Wait()
+	if !epochAdvances(s) {
+		t.Fatal("epoch cannot advance after the readers returned: pin leaked")
+	}
 
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants after churn: %v", err)
@@ -669,10 +675,12 @@ func TestScanUnderChurn(t *testing.T) {
 }
 
 // epochAdvances reports whether the store's epoch domain can still move
-// forward, i.e. no reader pin leaked.
+// forward, i.e. no pin leaked. It takes two consecutive advances: a slot
+// pinned at the current epoch does not block the first.
 func epochAdvances(s *Store) bool {
-	before := s.epochs.Epoch()
-	return s.epochs.TryAdvance() > before
+	e0 := s.epochs.Epoch()
+	e1 := s.epochs.TryAdvance()
+	return e1 > e0 && s.epochs.TryAdvance() > e1
 }
 
 // TestShardReadOptimisticPanic: a body that panics while optimistic (a torn
@@ -777,8 +785,8 @@ func dump(s *Store) map[string]uint64 {
 }
 
 // checkShardIdle asserts what every shardWrite must leave behind: the tree
-// published (even sequence) and the shard lock free.
-func checkShardIdle(t *testing.T, sh *shard) {
+// published (even sequence), the shard lock free and no pin held.
+func checkShardIdle(t *testing.T, s *Store, sh *shard) {
 	t.Helper()
 	if _, stable := sh.tree.ReadSeq(); !stable {
 		t.Fatal("tree sequence is odd after shardWrite returned")
@@ -787,6 +795,9 @@ func checkShardIdle(t *testing.T, sh *shard) {
 		t.Fatal("shard lock still held after shardWrite returned")
 	}
 	sh.mu.Unlock()
+	if !epochAdvances(s) {
+		t.Fatal("epoch cannot advance after shardWrite returned: pin leaked")
+	}
 }
 
 // TestShardWriteCovered pins the covered contract on healthy stores: without
@@ -801,7 +812,7 @@ func TestShardWriteCovered(t *testing.T) {
 	if got != 7 {
 		t.Fatalf("WAL-less apply saw covered = %d, want 7", got)
 	}
-	checkShardIdle(t, mem.shards[0])
+	checkShardIdle(t, mem, mem.shards[0])
 
 	var in fault.Injector
 	s, _ := openFaulty(t, &in, 1, nil)
@@ -819,7 +830,7 @@ func TestShardWriteCovered(t *testing.T) {
 	if got != 1 || s.WALError() != nil {
 		t.Fatalf("healthy single op: covered = %d, WALError = %v", got, s.WALError())
 	}
-	checkShardIdle(t, sh)
+	checkShardIdle(t, s, sh)
 }
 
 // TestShardWriteRefusedLog: once the log refuses records, apply sees
@@ -840,7 +851,7 @@ func TestShardWriteRefusedLog(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("apply saw covered = %d on a refusing log, want 0", got)
 	}
-	checkShardIdle(t, sh)
+	checkShardIdle(t, s, sh)
 
 	run := make([]Pair, 2*bulkDivertMinRun)
 	ops := make([]Op, len(run))
@@ -860,7 +871,7 @@ func TestShardWriteRefusedLog(t *testing.T) {
 		}
 	}
 	s.Clear()
-	checkShardIdle(t, sh)
+	checkShardIdle(t, s, sh)
 	if s.Len() != beforeLen {
 		t.Fatalf("Len = %d after refused writes, want %d", s.Len(), beforeLen)
 	}
@@ -908,7 +919,7 @@ func TestShardWriteBulkPrefix(t *testing.T) {
 	if !errors.Is(s.WALError(), ErrDegraded) {
 		t.Fatalf("WALError = %v, want ErrDegraded", s.WALError())
 	}
-	checkShardIdle(t, sh)
+	checkShardIdle(t, s, sh)
 
 	in.Heal()
 	if err := s.Rearm(); err != nil {
@@ -968,6 +979,16 @@ func TestShardWriteAwaitsOutsideLock(t *testing.T) {
 	s, _ := openFaulty(t, &in, 1, func(f WALFile) WALFile { return gatedSyncFile{f, gate} })
 	sh := s.shards[0]
 	gate.armed.Store(true)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate.release)
+		}
+	}
+	// Runs before openFaulty's Close: a failed check must not leave Close
+	// waiting for the parked committer forever.
+	t.Cleanup(release)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -977,18 +998,17 @@ func TestShardWriteAwaitsOutsideLock(t *testing.T) {
 	// out of the lock it enqueued under; the wait it then parks in is outside.
 	for i := 0; !sh.mu.TryLock(); i++ {
 		if i == 5000 {
-			close(gate.release) // or Close in the cleanup waits for the parked committer forever
 			t.Fatal("shard lock still held while the first writer waits on its fsync")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	sh.mu.Unlock()
-	checkShardIdle(t, sh)
+	checkShardIdle(t, s, sh)
 	go func() { defer wg.Done(); s.Put([]byte("second"), 2) }()
 	for !s.Has([]byte("second")) { // applied ⇒ it held the lock and enqueued
 		time.Sleep(time.Millisecond)
 	}
-	close(gate.release)
+	release()
 	wg.Wait()
 	if err := s.WALError(); err != nil {
 		t.Fatalf("WALError = %v after both fsyncs completed", err)
@@ -1027,7 +1047,7 @@ func TestShardWriteDegradedGroup(t *testing.T) {
 			t.Fatalf("arenas=%d: refused group writes reached memory", arenas)
 		}
 		for _, sh := range s.shards {
-			checkShardIdle(t, sh)
+			checkShardIdle(t, s, sh)
 		}
 	}
 }

@@ -21,9 +21,9 @@ package hyperion
 //     key (its stored bytes plus one 0x00) through the container/T-Node jump
 //     tables and jump successors, O(depth × jump-probe).
 //
-// Every tree mutator runs inside shardWrite's seqlock bracket (the
-// seqlockpair analyzer proves it), so an unchanged sequence is a sufficient
-// witness for the first route.
+// Every tree mutator runs inside shardWrite's seqlock bracket (the bracket
+// analyzer proves it), so an unchanged sequence is a sufficient witness for
+// the first route.
 
 import (
 	"bytes"

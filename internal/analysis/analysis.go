@@ -10,11 +10,11 @@
 // against this package are line-for-line portable to the real framework.
 //
 // The suite exists because the codebase rests on hand-rolled protocols the
-// compiler cannot see: seqlock write brackets, epoch pin/release pairing, WAL
-// enqueue-under-write-lock ordering, zero-allocation hot paths. Each checker
-// turns one of those invariants from a comment (or a runtime AllocsPerRun
-// probe) into a compile-time gate. See DESIGN.md "Static analysis & invariant
-// enforcement".
+// compiler cannot see: where seqlock write brackets and epoch pins may be
+// taken, WAL enqueue-under-write-lock ordering, zero-allocation hot paths.
+// Each checker turns one of those invariants from a comment (or a runtime
+// AllocsPerRun probe) into a compile-time gate. See DESIGN.md "Static
+// analysis & invariant enforcement".
 package analysis
 
 import (

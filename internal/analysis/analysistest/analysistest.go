@@ -5,7 +5,7 @@
 //
 // Layout: <testdata>/src/<pkg>/*.go. Expectations are comments of the form
 //
-//	x.BeginWrite() // want `BeginWrite.*not matched`
+//	t.Put(k, v) // want `Tree.Put called outside a shardWrite body`
 //
 // where each backquoted or double-quoted string is a regular expression that
 // must match a diagnostic reported on that line. Every diagnostic must be

@@ -5,11 +5,10 @@ package suite
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/analysis/bracket"
 	"repro/internal/analysis/errsink"
 	"repro/internal/analysis/noallocmark"
 	"repro/internal/analysis/padalign"
-	"repro/internal/analysis/pinbalance"
-	"repro/internal/analysis/seqlockpair"
 )
 
 // All returns every registered analyzer, in stable order.
@@ -18,7 +17,6 @@ func All() []*analysis.Analyzer {
 		errsink.Analyzer,
 		noallocmark.Analyzer,
 		padalign.Analyzer,
-		pinbalance.Analyzer,
-		seqlockpair.Analyzer,
+		bracket.Analyzer,
 	}
 }

@@ -156,7 +156,8 @@ func TestRunFigure14And16(t *testing.T) {
 	// factor of 72) is a property of multi-billion-key runs where 2^26
 	// four-byte prefixes collide heavily; at reproduction scale we verify
 	// that both variants store the same keys and report their allocator
-	// state, and EXPERIMENTS.md discusses the scale dependence.
+	// state; DESIGN.md "Experiment → paper mapping" sets out what the
+	// reproduction scale can and cannot show.
 	if f16.Figures[0].Keys != f16.Figures[1].Keys {
 		t.Fatal("both variants must index the same number of keys")
 	}

@@ -9,8 +9,8 @@
 //
 // Absolute numbers depend on the host and on the reproduction scale; the
 // harness is built to reproduce the paper's *shape*: who wins, by roughly
-// which factor, and where the crossovers are. EXPERIMENTS.md records a
-// paper-vs-measured comparison.
+// which factor, and where the crossovers are. DESIGN.md "Experiment → paper
+// mapping" maps each experiment to the paper's table or figure.
 package bench
 
 import (
