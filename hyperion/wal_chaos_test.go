@@ -469,12 +469,22 @@ func TestWALCloseJoinsProber(t *testing.T) {
 	in.FailWrites(-1, fault.ENOSPC())
 	s.Put([]byte("discovery"), 2)
 	in.Heal()
-	<-gate.entered
+	// Both waits are bounded: a prober that never parks, or a Close that
+	// never marks the store, fails the test instead of hanging the package.
+	const bound = 10 * time.Second
+	select {
+	case <-gate.entered:
+	case <-time.After(bound):
+		t.Fatalf("no Rearm parked in opening a segment within %v", bound)
+	}
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	for !s.closed.Load() {
-		time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(bound); !s.closed.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate.release)
+			t.Fatalf("Close did not mark the store closed within %v", bound)
+		}
 	}
 	close(gate.release)
 	if err := <-closed; err != nil {

@@ -17,8 +17,11 @@ import "repro/internal/memman"
 // boundaries of the existing structure: runs of keys that fall into a gap of
 // the current node stream are encoded as one block and inserted with a
 // single memmove; runs that continue below an existing child container
-// descend and repeat; keys that hit path-compressed or embedded remainders
-// fall back to the ordinary per-key put path.
+// descend and repeat. A run of several keys below an embedded child that
+// could not fit its 255 bytes ejects the child once and merges into the new
+// container the same way. Only single keys, runs that fit an embedded child,
+// and keys that hit path-compressed remainders go through the ordinary
+// per-key put path.
 
 // bulkKeyOverhead is the per-key encoding overhead assumed by the merge
 // block-size estimate (node headers, value, child references). It
@@ -57,6 +60,17 @@ func blockBudget(buf []byte) int {
 // depth d towards blockBudget (node headers, value, child references —
 // deliberately overestimated, see bulkKeyOverhead).
 func blockEstimate(keyLen, d int) int { return 2*(keyLen-d) + bulkKeyOverhead }
+
+// outgrowsEmbedded reports whether an embedded child of size bytes plus the
+// block estimate of keys[lo:hi) (suffixes from depth d) exceeds embMaxSize.
+func (b *bulkBuilder) outgrowsEmbedded(size, lo, hi, d int) bool {
+	for i := lo; i < hi; i++ {
+		if size += blockEstimate(len(b.keys[i]), d); size > embMaxSize {
+			return true
+		}
+	}
+	return false
+}
 
 // BulkLoad ingests a sorted run of key/value pairs with put-overwrite
 // semantics. The caller must guarantee that keys are strictly increasing in
@@ -532,7 +546,19 @@ func (b *bulkBuilder) mergeContainer(reslot func(k0 byte) containerSlot, lo, hi,
 			t.stats.Keys += int64(j - i)
 			i = j
 
-		default: // childEmbedded, childPC: per-key fallback
+		case childEmbedded:
+			if j-i >= 2 && b.outgrowsEmbedded(embSize(buf, childOff), i, j, d+2) {
+				// The sub-run cannot fit the embedded child's 255 bytes:
+				// eject the child once (paper Figure 8) and restart, which
+				// finds a standalone child and merges the whole sub-run
+				// into it block by block.
+				e.pushEmb(embInfo{sNodePos: sPos, sizePos: childOff})
+				t.eject(&e, 0)
+				continue
+			}
+			fallthrough
+
+		default: // childPC, or a single key or a sub-run that fits: per key
 			for k := i; k < j; k++ {
 				t.putLoop(reslot(b.keys[k][d]), b.keys[k][d:], b.vals[k], b.hasValue(k))
 			}

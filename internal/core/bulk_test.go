@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -435,6 +436,300 @@ func TestBulkLoadBareKeys(t *testing.T) {
 		checkEqualWithPresence(t, bulk, ref)
 		if bulk.Stats().Splits == before {
 			t.Fatalf("run did not split a container")
+		}
+	})
+}
+
+// ngramRun generates n distinct n-gram-shaped keys ("w1 w2\t1987": one to
+// five words of a Zipf-ranked vocabulary, a tab, a year) in sorted order, so
+// neighbouring keys share long prefixes the way the n-gram corpus does.
+func ngramRun(rng *rand.Rand, n int) ([][]byte, []uint64) {
+	vocab := []string{"the", "of", "and", "to", "in", "a", "is", "that", "for", "it"}
+	syl := []string{"ba", "ce", "di", "fo", "gu", "la", "me", "ni", "po", "ru", "st", "tr"}
+	for len(vocab) < 300 {
+		w := ""
+		for s := 2 + rng.Intn(3); s > 0; s-- {
+			w += syl[rng.Intn(len(syl))]
+		}
+		vocab = append(vocab, w)
+	}
+	seen := make(map[string]bool, n)
+	out := make([][]byte, 0, n)
+	for len(out) < n {
+		var k []byte
+		for w := 1 + rng.Intn(5); w > 0; w-- {
+			if len(k) > 0 {
+				k = append(k, ' ')
+			}
+			// P(rank) ~ 1/(rank+1): the inverse of the harmonic CDF.
+			rank := int(math.Pow(float64(len(vocab)+1), rng.Float64())) - 1
+			k = append(k, vocab[min(max(rank, 0), len(vocab)-1)]...)
+		}
+		k = append(k, '\t')
+		k = fmt.Appendf(k, "%d", 1800+rng.Intn(220))
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return bytes.Compare(out[a], out[b]) < 0 })
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = rng.Uint64()
+	}
+	return out, vals
+}
+
+// loadChunked bulk-loads the sorted run in consecutive chunks of size, the
+// way an MLOAD stream of sorted lines arrives.
+func loadChunked(tr *Tree, ks [][]byte, vs []uint64, size int) {
+	for lo := 0; lo < len(ks); lo += size {
+		hi := min(lo+size, len(ks))
+		tr.BulkLoad(ks[lo:hi], vs[lo:hi])
+	}
+}
+
+// childOf returns the child kind of the S-Node (k0, k1) in tr's root
+// container, the embedded child's size when it is embedded, and whether the
+// root part holding k0 is a chain part.
+func childOf(t *testing.T, tr *Tree, k0, k1 byte) (kind, size int, chained bool) {
+	t.Helper()
+	slot := tr.rootSlot(k0)
+	buf := slot.resolve(tr)
+	reg := topRegion(buf)
+	ts := scanT(buf, reg, k0, false)
+	if !ts.found {
+		t.Fatalf("no T-Node %#x", k0)
+	}
+	ss := scanS(buf, reg, ts.pos, k1)
+	if !ss.found {
+		t.Fatalf("no S-Node %#x %#x", k0, k1)
+	}
+	hdr := buf[ss.pos]
+	if kind = sChildKind(hdr); kind == childEmbedded {
+		size = embSize(buf, ss.pos+sNodeChildOffset(hdr))
+	}
+	return kind, size, slot.isChained()
+}
+
+// TestBulkLoadChunkedMatchesPerKey loads n-gram runs in sorted chunks, so
+// every chunk boundary leaves a sub-run to merge below the children the
+// previous chunk built (embedded ones included), and requires the tree a
+// per-key load leaves, under every configuration.
+func TestBulkLoadChunkedMatchesPerKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ks, vs := ngramRun(rng, 6000)
+	for name, cfg := range testConfigs() {
+		ref := New(cfg)
+		for i := range ks {
+			ref.Put(ks[i], vs[i])
+		}
+		for _, size := range []int{1, 2, 7, 100, 1000} {
+			t.Run(fmt.Sprintf("%s/chunk%d", name, size), func(t *testing.T) {
+				tr := New(cfg)
+				loadChunked(tr, ks, vs, size)
+				checkEqualTrees(t, tr, ref)
+			})
+		}
+	}
+
+	// The embedded child below "ab" holds two bare one-byte suffixes, a few
+	// bytes smaller than the HP that replaces it, so the eject grows the
+	// parent before the sub-run merges.
+	t.Run("tiny-child", func(t *testing.T) {
+		for _, cfg := range []Config{DefaultConfig(), IntegerConfig()} {
+			tr, ref := New(cfg), New(cfg)
+			for _, k := range []string{"aa", "ab\x01", "ab\x02", "ac"} {
+				tr.PutKey([]byte(k))
+				ref.PutKey([]byte(k))
+			}
+			if kind, size, _ := childOf(t, tr, 'a', 'b'); kind != childEmbedded || size >= hpSize {
+				t.Fatalf("child below ab: kind %d size %d, want embedded below %d bytes", kind, size, hpSize)
+			}
+			var run [][]byte
+			for i := 0; i < 40; i++ {
+				run = append(run, fmt.Appendf(nil, "ab\x03suffix%02d", i))
+			}
+			vals := make([]uint64, len(run))
+			for i := range vals {
+				vals[i] = uint64(i)
+				ref.Put(run[i], vals[i])
+			}
+			before := tr.Stats().Ejections
+			tr.BulkLoad(run, vals)
+			checkEqualWithPresence(t, tr, ref)
+			if kind, _, _ := childOf(t, tr, 'a', 'b'); kind != childHP || tr.Stats().Ejections != before+1 {
+				t.Fatalf("child below ab: kind %d after %d ejections, want one eject to an HP", kind, tr.Stats().Ejections-before)
+			}
+		}
+	})
+
+	// A bulk-built root beyond SplitBaseSize is a chained extended bin; the
+	// children in its first 16 KiB are embedded, so the part for T keys
+	// 32..63 holds embedded children and the sub-runs eject and merge
+	// inside that chain part.
+	t.Run("chained-parent", func(t *testing.T) {
+		cfg := DefaultConfig()
+		var base, run [][]byte
+		for k0 := 0; k0 < 256; k0++ {
+			for k1 := 0; k1 < 8; k1++ {
+				base = append(base, []byte{byte(k0), byte(k1), 'x'}, []byte{byte(k0), byte(k1), 'y'})
+			}
+			if k0 >= 32 && k0 < 64 {
+				for i := 0; i < 30; i++ {
+					run = append(run, []byte{byte(k0), 5, 'z', byte(i), 'q', 'q'})
+				}
+			}
+		}
+		baseVals := make([]uint64, len(base))
+		tr, ref := New(cfg), New(cfg)
+		for i, k := range base {
+			baseVals[i] = uint64(i)
+			ref.Put(k, baseVals[i])
+		}
+		tr.BulkLoad(base, baseVals)
+		if kind, _, chained := childOf(t, tr, 40, 5); kind != childEmbedded || !chained {
+			t.Fatalf("child below 40/5: kind %d chained %v, want embedded in a chain part", kind, chained)
+		}
+		vals := make([]uint64, len(run))
+		for i := range vals {
+			vals[i] = uint64(i) << 8
+			ref.Put(run[i], vals[i])
+		}
+		loadChunked(tr, run, vals, 100)
+		checkEqualTrees(t, tr, ref)
+		if kind, _, _ := childOf(t, tr, 40, 5); kind != childHP {
+			t.Fatalf("child below 40/5: kind %d, want ejected to an HP", kind)
+		}
+	})
+
+	// A sub-run that fits keeps the child embedded.
+	t.Run("fits-stays-embedded", func(t *testing.T) {
+		tr, ref := New(DefaultConfig()), New(DefaultConfig())
+		for i, k := range []string{"aa", "abc", "abd", "ac"} {
+			tr.Put([]byte(k), uint64(i))
+			ref.Put([]byte(k), uint64(i))
+		}
+		run := [][]byte{[]byte("abe"), []byte("abf"), []byte("abg")}
+		vals := []uint64{7, 8, 9}
+		for i := range run {
+			ref.Put(run[i], vals[i])
+		}
+		before := tr.Stats().Ejections
+		tr.BulkLoad(run, vals)
+		checkEqualTrees(t, tr, ref)
+		if kind, _, _ := childOf(t, tr, 'a', 'b'); kind != childEmbedded || tr.Stats().Ejections != before {
+			t.Fatalf("child below ab: kind %d after %d ejections, want still embedded", kind, tr.Stats().Ejections-before)
+		}
+	})
+}
+
+// TestBulkLoadChunkedFootprint pins the space of a chunked load: 1 000-key
+// sorted chunks must end within 2 % of one BulkLoad of the same keys. The
+// run is large because most of what remains is the allocator's bin
+// granularity, a near-constant that a small run would magnify.
+func TestBulkLoadChunkedFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	ks, vs := ngramRun(rng, 400_000)
+	one := New(DefaultConfig())
+	one.BulkLoad(ks, vs)
+	chunked := New(DefaultConfig())
+	loadChunked(chunked, ks, vs, 1000)
+	checkEqualTrees(t, chunked, one)
+	a, b := one.MemoryFootprint(), chunked.MemoryFootprint()
+	t.Logf("footprint: one load %d B, 1 000-key chunks %d B (%+.1f%%)", a, b, 100*float64(b-a)/float64(a))
+	if float64(b) > 1.02*float64(a) {
+		t.Fatalf("chunked footprint %d B is more than 2%% above one load's %d B", b, a)
+	}
+}
+
+// FuzzBulkLoadChunks decodes a blob into sorted unique keys (valued or bare)
+// and chunk cuts, loads the keys chunk by chunk and checks the tree against
+// a map model. Each record is [shared, len|cut<<7, bytes...]: the key is the
+// first shared bytes of the previous record's key followed by len new bytes,
+// so keys share prefixes of every length.
+func FuzzBulkLoadChunks(f *testing.F) {
+	f.Add(byte(0), []byte("\x00\x03abc\x02\x83dxy\x03\x02zz\x00\x81q"))
+	f.Add(byte(3), []byte("\x00\x04\x00\x01\x02\x03\x03\x01\x04\x03\x01\x05\x03\x81\x06\x02\x02ab"))
+	f.Add(byte(1), bytes.Repeat([]byte("\x05\x86tail!!"), 40))
+	f.Fuzz(func(t *testing.T, cfgSel byte, blob []byte) {
+		if len(blob) > 8192 {
+			t.Skip()
+		}
+		cfgs := []Config{DefaultConfig(), IntegerConfig(), MinimalConfig(), testConfigs()["split-aggressive"], testConfigs()["embedded-aggressive"]}
+		cfg := cfgs[int(cfgSel)%len(cfgs)]
+
+		var prev []byte
+		cutAfter := map[string]bool{}
+		set := map[string]bool{}
+		for p := 0; p+1 < len(blob); {
+			shared, l := int(blob[p]), int(blob[p+1]&0x7f)
+			cut := blob[p+1]&0x80 != 0
+			p += 2
+			l = min(l, len(blob)-p)
+			k := append(append([]byte(nil), prev[:min(shared, len(prev))]...), blob[p:p+l]...)
+			p += l
+			set[string(k)] = true
+			cutAfter[string(k)] = cutAfter[string(k)] || cut
+			prev = k
+		}
+		type entry struct {
+			val uint64
+			has bool
+		}
+		model := make(map[string]entry, len(set))
+		keys := make([][]byte, 0, len(set))
+		for k := range set {
+			h := uint64(len(k))
+			for _, c := range []byte(k) {
+				h = h*0x9e3779b97f4a7c15 + uint64(c)
+			}
+			model[k] = entry{h, len(k)%3 != 1}
+			keys = append(keys, []byte(k))
+		}
+		sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
+		vals := make([]uint64, len(keys))
+		hasv := make([]bool, len(keys))
+		for i, k := range keys {
+			vals[i], hasv[i] = model[string(k)].val, model[string(k)].has
+		}
+
+		tr := New(cfg)
+		lo := 0
+		for i, k := range keys {
+			if cutAfter[string(k)] || i == len(keys)-1 {
+				tr.BulkLoadMixed(keys[lo:i+1], vals[lo:i+1], hasv[lo:i+1])
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("after chunk [%d,%d]: %v", lo, i, err)
+				}
+				lo = i + 1
+			}
+		}
+		if tr.Len() != int64(len(keys)) {
+			t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
+		}
+		var prevKey []byte
+		n := 0
+		tr.Each(func(key []byte, value uint64, hasValue bool) bool {
+			want, ok := model[string(key)]
+			if !ok || (n > 0 && bytes.Compare(prevKey, key) >= 0) {
+				t.Fatalf("Each emitted %q after %q: not in the model or out of order", key, prevKey)
+			}
+			if hasValue != want.has || (hasValue && value != want.val) {
+				t.Fatalf("key %q = %d,%v; model %d,%v", key, value, hasValue, want.val, want.has)
+			}
+			prevKey = append(prevKey[:0], key...)
+			n++
+			return true
+		})
+		if n != len(model) {
+			t.Fatalf("Each visited %d keys, model has %d", n, len(model))
+		}
+		for k, want := range model {
+			v, hv, ok := tr.Find([]byte(k))
+			if !ok || hv != want.has || (hv && v != want.val) {
+				t.Fatalf("Find(%q) = %d,%v,%v; model %d,%v", k, v, hv, ok, want.val, want.has)
+			}
 		}
 	})
 }

@@ -11,24 +11,23 @@ import "math"
 // that, and the byte-level definition is what keeps the tokenizer
 // allocation-free.)
 
-// asciiSpace mirrors the ASCII subset of unicode.IsSpace.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
+// spaceClass marks the field separators, the ASCII subset of unicode.IsSpace,
+// so the tokenizer classifies a byte with one table lookup.
+var spaceClass = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
 
 // splitFields appends the whitespace-separated fields of line to dst and
 // returns it. The fields are subslices of line; nothing is copied.
 func splitFields(dst [][]byte, line []byte) [][]byte {
 	i := 0
 	for i < len(line) {
-		for i < len(line) && asciiSpace(line[i]) {
+		for i < len(line) && spaceClass[line[i]] {
 			i++
 		}
 		if i == len(line) {
 			break
 		}
 		start := i
-		for i < len(line) && !asciiSpace(line[i]) {
+		for i < len(line) && !spaceClass[line[i]] {
 			i++
 		}
 		dst = append(dst, line[start:i])
