@@ -1,25 +1,31 @@
 package hyperion
 
 // This file implements the chunked shard scan shared by Range, ScanPrefix,
-// CountPrefix, Save (snapshot.go) and ParallelEach (batch.go). The one
-// invariant every iterator relies on lives here, in a single place: a chunk
-// of pairs is read through shardRead (optimistically and seqlock-validated,
-// or under the shard read lock), nothing is held when the chunk is handed on
-// (so user callbacks may write to the store without self-deadlocking), and
-// the scan resumes right behind the last accepted key, which can neither
-// skip nor repeat keys that are not mutated during the iteration.
+// CountPrefix, Save (snapshot.go) and ParallelEach (batch.go), driven by one
+// round loop, shardRounds. The one invariant every iterator relies on lives
+// here, in a single place: a round is read through shardRead (optimistically
+// and seqlock-validated, or under the shard read lock), nothing is held when
+// its result is handed on (so user callbacks may write to the store without
+// self-deadlocking), and the scan resumes right behind the round, which can
+// neither skip nor repeat keys that are not mutated during the iteration. A
+// round either fills a chunk of pairs (fillChunk) or counts keys without
+// building them (countShardRange: one core.Cursor.Count, which stops at a
+// subtree boundary once it has counted scanChunkSize keys).
 //
 // Resuming takes one of two routes, decided per round by the tree's seqlock
 // sequence (continuation below):
 //
 //   - continue: when the tree still reads the sequence at which the previous
-//     chunk was accepted, no shardWrite has run since — nothing was edited,
+//     round was accepted, no shardWrite has run since — nothing was edited,
 //     retired or recycled — so the cursor's parked frames are still exactly
-//     right and the next chunk starts with cur.Next();
+//     right and the next round starts where the cursor stopped;
 //   - re-seek: otherwise (a callback or another goroutine wrote to the
-//     shard), the cursor seeks the stored-form successor of the last accepted
-//     key (its stored bytes plus one 0x00) through the container/T-Node jump
-//     tables and jump successors, O(depth × jump-probe).
+//     shard), the cursor seeks the round's resume key through the
+//     container/T-Node jump tables and jump successors, O(depth ×
+//     jump-probe). A fill resumes at the stored-form successor of the last
+//     accepted key (its stored bytes plus one 0x00); a count at the resume
+//     key Cursor.Count returned, which no counted key reaches and no
+//     uncounted one exceeds.
 //
 // Every tree mutator runs inside shardWrite's seqlock bracket (the bracket
 // analyzer proves it), so an unchanged sequence is a sufficient witness for
@@ -33,10 +39,11 @@ import (
 )
 
 // scanChunkSize bounds how many pairs one shardRead round of a scan reads
-// (Range, ScanPrefix, CountPrefix, Save). It is small so a short range does
-// not decode, untransform and copy pairs its callback never asks for; long
-// scans pay nothing for the small size because rounds continue the cursor
-// instead of re-seeking.
+// (Range, ScanPrefix, Save), and is the least a CountPrefix round counts
+// before it may stop. It is small so a short range does not decode,
+// untransform and copy pairs its callback never asks for, and a writer waits
+// behind at most one short round; long scans pay nothing for the small size
+// because rounds continue the cursor instead of re-seeking.
 const scanChunkSize = 64
 
 // kvChunk is one snapshot of up to chunkSize pairs. Keys are the raw
@@ -88,7 +95,7 @@ func (c *kvChunk) hasValue(i int) bool { return c.hasv[i] }
 // scanState is the working set of one scan call: the cursor, the two resume
 // buffers (a round builds the NEXT resume key into resumeNext so a discarded
 // attempt cannot clobber the current one), the chunk Range/ScanPrefix/Save
-// fill, CountPrefix's untransform scratch and the prefix-bound endpoints.
+// fill and the prefix-bound endpoints.
 // It is pooled, so a warm scan allocates nothing. Whether the cursor may be
 // continued is NOT part of it: that is a local of every scan call
 // (continuation).
@@ -96,7 +103,6 @@ type scanState struct {
 	cur                core.Cursor
 	resume, resumeNext []byte
 	chunk              kvChunk
-	scratch            []byte
 	succ, lo, hi       []byte
 }
 
@@ -112,10 +118,9 @@ func putScanState(st *scanState) {
 }
 
 // continuation is one scan call's right to continue its cursor instead of
-// re-seeking; a local of every scanShardChunks/countShardRange call, never
-// pooled. ok is set only once shardRead has accepted a round, and cleared
-// as the next round starts, so a torn, discarded or panicking round can
-// never be continued.
+// re-seeking; a local of every shardRounds call, never pooled. ok is set
+// only once shardRead has accepted a round, and cleared as the next round
+// starts, so a torn, discarded or panicking round can never be continued.
 type continuation struct {
 	ok      bool   // st.cur is parked right behind the last accepted key
 	seq     uint64 // the tree sequence the accepted round read at
@@ -141,52 +146,29 @@ func (c *continuation) accept(st *scanState) {
 	st.resume, st.resumeNext = st.resumeNext, st.resume
 }
 
-// scanShardChunks streams sh's stored pairs with keys in [tstart, tend)
-// (stored-key space; a nil tend means unbounded) in chunks of up to chunkSize
-// pairs, using st's cursor and resume buffers. Every chunk is filled through
-// shardRead (pinned optimistic attempts, shard read lock as fallback) and
-// passed to emit with no lock held; emit returning false stops the scan.
-// nextChunk supplies the chunk to fill (it is reset here): return the same
-// chunk to reuse buffers (Range), or a fresh one when emit retains the chunk
-// beyond the call (ParallelEach's channel). abort, if non-nil, is polled per
-// pair and per chunk for cheap early termination from the outside. The
-// return value reports whether the scan ended because it reached tend —
-// callers walking arenas in order can stop at the first shard that crosses
-// the bound.
-func (s *Store) scanShardChunks(sh *shard, st *scanState, tstart, tend []byte, chunkSize int, abort func() bool, nextChunk func() *kvChunk, emit func(*kvChunk) bool) (reachedEnd bool) {
+// shardRounds is the one round driver of every chunked shard scan. It
+// readies st to scan sh from tstart and runs rounds: each positions st.cur
+// (continuation) and runs read inside a shardRead body, so read must be
+// restartable and report whether it stopped full (more may follow) and
+// whether it crossed the scan's upper bound. After each accepted round, after
+// runs with nothing held; the driver stops when the round was not full or
+// after returns false, and returns the last round's reachedEnd.
+func (s *Store) shardRounds(sh *shard, st *scanState, tstart []byte, read func() (full, reachedEnd bool), after func() bool) (reachedEnd bool) {
 	st.cur.Init(sh.tree)
 	st.resume = append(st.resume[:0], tstart...)
 	var cont continuation
-	var chunk *kvChunk
 	var full bool
-	fill := func(optimistic bool) {
+	round := func(optimistic bool) {
 		cont.position(sh, st, optimistic)
-		chunk.reset()
-		full, reachedEnd = s.fillChunk(st, chunk, tend, chunkSize, abort)
+		full, reachedEnd = read()
 	}
 	for {
-		if abort != nil && abort() {
-			return false
-		}
-		chunk = nextChunk()
-		s.shardRead(sh, true, fill)
+		s.shardRead(sh, true, round)
 		cont.accept(st)
-		if chunk.len() > 0 && !emit(chunk) {
-			return reachedEnd
-		}
-		if !full {
+		if !after() || !full {
 			return reachedEnd
 		}
 	}
-}
-
-// maxFrames is the cursor depth bound of a shardRead body: capped while the
-// walk may be torn, unbounded under the lock.
-func maxFrames(optimistic bool) int {
-	if optimistic {
-		return optimisticMaxFrames
-	}
-	return 0
 }
 
 // fillChunk advances the scan by one chunk from st.cur's position: it
@@ -217,58 +199,59 @@ func (s *Store) fillChunk(st *scanState, chunk *kvChunk, tend []byte, chunkSize 
 	}
 }
 
-// countShardRange counts sh's stored pairs with keys in [tstart, tend)
-// (stored-key space; nil tend = unbounded) through the same rounds as
-// scanShardChunks, but without materialising the keys. A non-nil rawPrefix
-// restricts the count to keys whose raw (untransformed) form starts with it —
-// the over-approximation filter of prefixBounds; only then are keys
-// untransformed, into st.scratch. Returns the count and whether the scan
-// crossed tend.
-func (s *Store) countShardRange(sh *shard, st *scanState, tstart, tend, rawPrefix []byte) (total int, reachedEnd bool) {
-	st.cur.Init(sh.tree)
-	st.resume = append(st.resume[:0], tstart...)
-	var cont continuation
-	var n int
-	var full bool
-	count := func(optimistic bool) {
-		cont.position(sh, st, optimistic)
-		n, full, reachedEnd = s.countChunk(st, tend, rawPrefix)
-	}
-	for {
-		s.shardRead(sh, true, count)
-		cont.accept(st)
-		total += n
-		if !full {
-			return total, reachedEnd
-		}
-	}
+// scanShardChunks streams sh's stored pairs with keys in [tstart, tend)
+// (stored-key space; a nil tend means unbounded) in chunks of up to chunkSize
+// pairs through shardRounds. Every chunk is filled through shardRead (pinned
+// optimistic attempts, shard read lock as fallback) and passed to emit with
+// no lock held; emit returning false stops the scan. nextChunk supplies the
+// chunk to fill (it is reset here): return the same chunk to reuse buffers
+// (Range), or a fresh one when emit retains the chunk beyond the call
+// (ParallelEach's channel). abort, if non-nil, is polled before every pair
+// (the first of a chunk included) for cheap early termination from the
+// outside. The return value reports whether the scan ended because it
+// reached tend — callers walking arenas in order can stop at the first shard
+// that crosses the bound.
+func (s *Store) scanShardChunks(sh *shard, st *scanState, tstart, tend []byte, chunkSize int, abort func() bool, nextChunk func() *kvChunk, emit func(*kvChunk) bool) (reachedEnd bool) {
+	var chunk *kvChunk
+	return s.shardRounds(sh, st, tstart,
+		func() (full, reachedEnd bool) {
+			if chunk == nil {
+				chunk = nextChunk()
+			}
+			chunk.reset()
+			return s.fillChunk(st, chunk, tend, chunkSize, abort)
+		},
+		func() bool {
+			more := chunk.len() == 0 || emit(chunk)
+			chunk = nil
+			return more
+		})
 }
 
-// countChunk counts the pairs below tend among the next scanChunkSize keys
-// of st.cur and, when it steps over all of them, writes the resume successor
-// into st.resumeNext. Same restartable-body contract as fillChunk.
-func (s *Store) countChunk(st *scanState, tend, rawPrefix []byte) (n int, full, reachedEnd bool) {
-	steps := 0
-	for {
-		k, _, _, ok := st.cur.Next()
-		if !ok {
-			return n, false, false
-		}
-		if tend != nil && bytes.Compare(k, tend) >= 0 {
-			return n, false, true
-		}
-		steps++
-		if rawPrefix == nil {
-			n++
-		} else {
-			st.scratch = s.untransformAppend(st.scratch[:0], k)
-			if bytes.HasPrefix(st.scratch, rawPrefix) {
-				n++
-			}
-		}
-		if steps == scanChunkSize {
-			st.resumeNext = append(append(st.resumeNext[:0], k...), 0)
-			return n, true, false
-		}
+// maxFrames is the cursor depth bound of a shardRead body: capped while the
+// walk may be torn, unbounded under the lock.
+func maxFrames(optimistic bool) int {
+	if optimistic {
+		return optimisticMaxFrames
 	}
+	return 0
+}
+
+// countShardRange counts sh's stored pairs with keys in [tstart, tend)
+// (stored-key space; nil tend = unbounded) through shardRounds, one
+// Cursor.Count of at least scanChunkSize keys per round: the keys are never
+// built, and a subtree that lies wholly below tend is counted from its node
+// headers. Returns the count and whether the scan crossed tend.
+func (s *Store) countShardRange(sh *shard, st *scanState, tstart, tend []byte) (total int, reachedEnd bool) {
+	var n int
+	reachedEnd = s.shardRounds(sh, st, tstart,
+		func() (full, reachedEnd bool) {
+			n, st.resumeNext, full, reachedEnd = st.cur.Count(tend, scanChunkSize, st.resumeNext)
+			return full, reachedEnd
+		},
+		func() bool {
+			total += n
+			return true
+		})
+	return total, reachedEnd
 }

@@ -232,39 +232,36 @@ func (s *Store) ScanPrefix(prefix []byte, fn func(key []byte, value uint64) bool
 }
 
 // CountPrefix returns the number of stored keys that start with prefix. It
-// streams through the same chunked, lock-releasing scan as ScanPrefix but —
-// when the stored bounds are exact — skips materialising (and
-// un-preprocessing) the keys, so counting a prefix population costs a cursor
-// walk over the stored range and nothing else; a warm CountPrefix performs
-// no heap allocation. The consistency contract is Range's: keys mutated
-// while the count is in progress may or may not be included.
+// runs through the same chunked, lock-releasing rounds as ScanPrefix, but
+// when the stored bounds are exact each round is one count-only cursor step
+// (core.Cursor.Count): no key is built or un-preprocessed, and a subtree that
+// lies wholly inside the prefix range is counted from its node headers, so
+// the cost grows with the nodes visited rather than the keys counted. When
+// the bounds over-approximate (KeyPreprocessing with a prefix of two or more
+// bytes, see prefixBounds), it counts ScanPrefix's filtered stream instead. A
+// warm CountPrefix performs no heap allocation. The consistency contract is
+// Range's: keys mutated while the count is in progress may or may not be
+// included.
 func (s *Store) CountPrefix(prefix []byte) int {
 	st := getScanState()
 	tstart, tend, rawPrefix := s.prefixBounds(st, prefix)
 	total := 0
-	for _, sh := range s.shards[s.arenaIndex(prefix):] {
-		n, reachedEnd := s.countShardRange(sh, st, tstart, tend, rawPrefix)
-		total += n
-		if reachedEnd {
-			break
+	if rawPrefix != nil {
+		s.scanRange(st, s.arenaIndex(prefix), tstart, tend, rawPrefix, func([]byte, uint64) bool {
+			total++
+			return true
+		})
+	} else {
+		for _, sh := range s.shards[s.arenaIndex(prefix):] {
+			n, reachedEnd := s.countShardRange(sh, st, tstart, tend)
+			total += n
+			if reachedEnd {
+				break
+			}
 		}
 	}
 	putScanState(st)
 	return total
-}
-
-// appendPrefixSuccessor appends to dst the smallest byte string greater than
-// every string with the given prefix; ok is false (and dst unchanged) when no
-// such bound exists (empty or all-0xff prefix).
-func appendPrefixSuccessor(dst, p []byte) (succ []byte, ok bool) {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] != 0xff {
-			dst = append(dst, p[:i+1]...)
-			dst[len(dst)-1]++
-			return dst, true
-		}
-	}
-	return dst, false
 }
 
 // prefixBounds translates a raw-key prefix into a stored-key interval
@@ -292,7 +289,7 @@ func appendPrefixSuccessor(dst, p []byte) (succ []byte, ok bool) {
 //     strict-successor of T(prefix 0xff-padded to 4 bytes)) — and emissions
 //     are filtered.
 func (s *Store) prefixBounds(st *scanState, prefix []byte) (tstart, tend, rawPrefix []byte) {
-	succ, bounded := appendPrefixSuccessor(st.succ[:0], prefix)
+	succ, bounded := core.AppendPrefixSuccessor(st.succ[:0], prefix)
 	st.succ = succ
 	if !bounded {
 		succ = nil

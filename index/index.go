@@ -79,9 +79,13 @@ func AsBatcher(kv KV) (Batcher, bool) {
 // implement it answer "every key under this prefix" without scanning (or
 // even touching) the rest of the key space. Hyperion backs it with the
 // seek-aware cursor engine: the scan starts at the prefix via the container
-// and T-Node jump tables and stops at the prefix successor, and CountPrefix
-// additionally skips materialising the keys — the right tool for the n-gram
-// prefix-counting workloads the paper's string data sets model.
+// and T-Node jump tables and stops at the prefix successor. CountPrefix
+// counts from node headers instead of building keys — a PC child is one key,
+// an embedded container wholly inside the range is counted in one pass over
+// its bytes — which suits the n-gram prefix-counting workloads the paper's
+// string data sets model. (With key pre-processing and a prefix of two or
+// more bytes the stored range over-approximates, and CountPrefix counts the
+// filtered scan instead.)
 type PrefixScanner interface {
 	KV
 	// ScanPrefix calls fn for every stored key that starts with prefix, in

@@ -190,19 +190,7 @@ func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 		c.probes++
 		if !nodeIsS(hdr) {
 			// T-Node.
-			var k byte
-			switch {
-			case f.knownT >= 0:
-				k = byte(f.knownT)
-				f.knownT = -1
-			case nodeDelta(hdr) != 0:
-				k = byte(int(f.prevT) + nodeDelta(hdr))
-			default:
-				k = f.buf[f.pos+1]
-			}
-			f.prevT = int16(k)
-			f.prevS = -1
-			f.knownS = -1
+			k := f.tKey(hdr)
 			typ := nodeType(hdr)
 			var v uint64
 			if typ == typeKeyVal {
@@ -217,17 +205,7 @@ func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 			continue
 		}
 		// S-Node.
-		var k byte
-		switch {
-		case f.knownS >= 0:
-			k = byte(f.knownS)
-			f.knownS = -1
-		case nodeDelta(hdr) != 0:
-			k = byte(int(f.prevS) + nodeDelta(hdr))
-		default:
-			k = f.buf[f.pos+1]
-		}
-		f.prevS = int16(k)
+		k := f.sKey(hdr)
 		buf := f.buf
 		sPos := int(f.pos)
 		f.pos = int32(sPos + sNodeSize(buf, sPos))
@@ -260,6 +238,41 @@ func (c *Cursor) Next() (key []byte, value uint64, hasValue bool, ok bool) {
 		}
 	}
 	return nil, 0, false, false
+}
+
+// tKey decodes the key byte of the T-Node at f.pos, whose header is hdr, and
+// makes it the frame's T delta context (which also resets the S context).
+func (f *cursorFrame) tKey(hdr byte) byte {
+	var k byte
+	switch {
+	case f.knownT >= 0:
+		k = byte(f.knownT)
+		f.knownT = -1
+	case nodeDelta(hdr) != 0:
+		k = byte(int(f.prevT) + nodeDelta(hdr))
+	default:
+		k = f.buf[f.pos+1]
+	}
+	f.prevT = int16(k)
+	f.prevS = -1
+	f.knownS = -1
+	return k
+}
+
+// sKey is tKey for the S-Node at f.pos.
+func (f *cursorFrame) sKey(hdr byte) byte {
+	var k byte
+	switch {
+	case f.knownS >= 0:
+		k = byte(f.knownS)
+		f.knownS = -1
+	case nodeDelta(hdr) != 0:
+		k = byte(int(f.prevS) + nodeDelta(hdr))
+	default:
+		k = f.buf[f.pos+1]
+	}
+	f.prevS = int16(k)
+	return k
 }
 
 // seekTop positions the top frame (and any embedded frames it pushes) for the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -450,4 +451,286 @@ func TestCursorOrderAgainstSortedOracle(t *testing.T) {
 			t.Fatalf("emission %q = %d (hasValue=%v), oracle %d", k, v, hv, oracle[string(k)])
 		}
 	}
+}
+
+// countTree is a tree and its stored keys, sorted.
+type countTree struct {
+	tree *Tree
+	keys []string
+}
+
+// countTrees builds, for every key family Count must handle, the same sorted
+// key set twice: once by BulkLoad and once by Put in shuffled order. Strings
+// carry PC and embedded children, sequential integers chained and split
+// containers, random integers jump tables, and the edge family keys made of
+// 0x00, 0x01, 0xfe and 0xff (the empty key, all-0xff keys without a prefix
+// successor, and deep embedded nesting).
+func countTrees(cfg Config, rng *rand.Rand) map[string]countTree {
+	edge := make([][]byte, 600)
+	for i := range edge {
+		k := make([]byte, rng.Intn(7))
+		for j := range k {
+			k[j] = []byte{0x00, 0x01, 0xfe, 0xff}[rng.Intn(4)]
+		}
+		edge[i] = k
+	}
+	families := map[string][][]byte{
+		"strings":  randomStringKeys(rng, 2500, 30),
+		"seq-ints": sequentialIntKeys(10000),
+		"ints":     randomIntKeys(rng, 3000),
+		"edge":     edge,
+	}
+	out := map[string]countTree{}
+	for name, raw := range families {
+		set := map[string]bool{}
+		for _, k := range raw {
+			set[string(k)] = true
+		}
+		sorted := make([]string, 0, len(set))
+		for k := range set {
+			sorted = append(sorted, k)
+		}
+		sort.Strings(sorted)
+		bk := make([][]byte, len(sorted))
+		vals := make([]uint64, len(sorted))
+		for i, k := range sorted {
+			bk[i] = []byte(k)
+			vals[i] = uint64(i)
+		}
+		bulk := New(cfg)
+		bulk.BulkLoad(bk, vals)
+		put := New(cfg)
+		for _, i := range rng.Perm(len(bk)) {
+			put.Put(bk[i], vals[i])
+		}
+		out[name+"/bulk"] = countTree{bulk, sorted}
+		out[name+"/put"] = countTree{put, sorted}
+	}
+	return out
+}
+
+// countBound derives a random Count upper bound: nil (unbounded), or a
+// stored key cut at a random length — inside PC suffixes and embedded
+// payloads — and possibly bumped at its last byte or extended.
+func countBound(rng *rand.Rand, keys []string) []byte {
+	if rng.Intn(8) == 0 {
+		return nil
+	}
+	k := []byte(keys[rng.Intn(len(keys))])
+	end := append([]byte{}, k[:rng.Intn(len(k)+1)]...)
+	switch rng.Intn(4) {
+	case 0:
+		if len(end) > 0 && end[len(end)-1] != 0xff {
+			end[len(end)-1]++
+		}
+	case 1:
+		end = append(end, byte(rng.Intn(256)))
+	}
+	return end
+}
+
+// checkCountRounds counts [start, end) of tree in rounds of at least limit
+// keys and checks every round against the model — the sorted stored keys —
+// and against ref, the Next stream over the same bounds. Between rounds the
+// cursor is, at random, either continued where Count parked it or (one round
+// in 32, since a seek can cost a linear container scan in the configurations
+// without jump tables) re-Sought to the returned resume key: the two routes
+// of the hyperion layer's continuation.
+func checkCountRounds(t *testing.T, rng *rand.Rand, tree *Tree, model []string, ref []string, start, end []byte, limit int) {
+	t.Helper()
+	c := NewCursor(tree)
+	c.Seek(start)
+	lo := sort.SearchStrings(model, string(start)) // model index of the next uncounted key
+	total := 0
+	var resume []byte
+	for round := 0; ; round++ {
+		if round > len(model)+2 {
+			t.Fatalf("[%q, %q) limit %d: no end after %d rounds", start, end, limit, round)
+		}
+		n, res, full, reachedEnd := c.Count(end, limit, resume)
+		resume = res
+		total += n
+		if total > len(ref) {
+			t.Fatalf("[%q, %q) limit %d: counted %d keys, Next emits %d", start, end, limit, total, len(ref))
+		}
+		lo += n
+		if !full {
+			if total != len(ref) {
+				t.Fatalf("[%q, %q) limit %d: counted %d keys, Next emits %d", start, end, limit, total, len(ref))
+			}
+			wantEnd := end != nil && lo < len(model)
+			if reachedEnd != wantEnd {
+				t.Fatalf("[%q, %q) limit %d: reachedEnd %v, want %v", start, end, limit, reachedEnd, wantEnd)
+			}
+			return
+		}
+		if reachedEnd {
+			t.Fatalf("[%q, %q) limit %d: full round reports reachedEnd", start, end, limit)
+		}
+		if n < limit {
+			t.Fatalf("[%q, %q) limit %d: full round counted only %d", start, end, limit, n)
+		}
+		// The round counted exactly the Next stream's keys up to resume.
+		if got := sort.SearchStrings(ref, string(resume)); got != total {
+			t.Fatalf("[%q, %q) limit %d round %d: %d keys below resume %q, counted %d", start, end, limit, round, got, resume, total)
+		}
+		if total > 0 && ref[total-1] >= string(resume) {
+			t.Fatalf("resume %q not above counted key %q", resume, ref[total-1])
+		}
+		if lo < len(model) && string(resume) > model[lo] {
+			t.Fatalf("resume %q above the next uncounted key %q", resume, model[lo])
+		}
+		if rng.Intn(32) == 0 {
+			c.Seek(resume)
+		}
+	}
+}
+
+// TestCursorCountMatchesNext is Count's differential against Next, per round
+// and in total, over every configuration, both build paths and random bounds,
+// for the round sizes the hyperion layer and the edge cases use, continuing
+// the parked cursor or re-seeking the resume key between rounds.
+func TestCursorCountMatchesNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	chained := 0
+	for cfgName, cfg := range testConfigs() {
+		trees := countTrees(cfg, rng)
+		for name, tc := range trees {
+			chained += int(tc.tree.Stats().Splits)
+			t.Run(cfgName+"/"+name, func(t *testing.T) {
+				tc.tree.Put(nil, 1) // the empty key, counted first from a nil start
+				model := append([]string{""}, tc.keys...)
+				if tc.keys[0] == "" {
+					model = tc.keys
+				}
+				for trial := 0; trial < 10; trial++ {
+					var start []byte
+					if trial%5 != 0 {
+						start = seekPoint(rng, [][]byte{[]byte(model[1+rng.Intn(len(model)-1)])})
+					}
+					end := countBound(rng, model[1:])
+					var ref []string
+					c := NewCursor(tc.tree)
+					c.Seek(start)
+					for {
+						k, _, _, ok := c.Next()
+						if !ok || (end != nil && bytes.Compare(k, end) >= 0) {
+							break
+						}
+						ref = append(ref, string(k))
+					}
+					lo := sort.SearchStrings(model, string(start))
+					hi := len(model)
+					if end != nil {
+						hi = max(lo, sort.SearchStrings(model, string(end)))
+					}
+					if !slices.Equal(ref, model[lo:hi]) {
+						t.Fatalf("[%q, %q): Next emits %d keys, model holds %d", start, end, len(ref), hi-lo)
+					}
+					for _, limit := range []int{1, 2, 3, 64} {
+						checkCountRounds(t, rng, tc.tree, model, ref, start, end, limit)
+					}
+				}
+			})
+		}
+	}
+	if chained == 0 {
+		t.Fatal("no tree holds a split (chained) container")
+	}
+}
+
+// FuzzCursorCount is FuzzCursorSeek's twin for Count: random key populations
+// and [start, end) bounds, counted in rounds of 1..64 keys, each round
+// checked against the Next stream and the sorted model (checkCountRounds).
+// An empty end means unbounded.
+func FuzzCursorCount(f *testing.F) {
+	f.Add([]byte("apple\x00apricot\x00banana\x00band\x00bandana"), []byte("b"), []byte("band"), uint8(1))
+	f.Add([]byte{0, 0, 1, 0xff, 0xfe, 0x41, 0, 0xff, 0xff}, []byte{}, []byte{0xff}, uint8(2))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), []byte(""), []byte("the r"), uint8(63))
+	f.Fuzz(func(t *testing.T, blob, start, end []byte, limit uint8) {
+		if len(blob) > 4096 || len(start) > 64 || len(end) > 64 {
+			t.Skip()
+		}
+		tree := New(DefaultConfig())
+		set := map[string]bool{}
+		for i, k := range bytes.Split(blob, []byte{0}) {
+			if len(k) > 0 {
+				tree.Put(k, uint64(i))
+				set[string(k)] = true
+			}
+		}
+		if len(end) == 0 {
+			end = nil
+		}
+		model := make([]string, 0, len(set))
+		for k := range set {
+			model = append(model, k)
+		}
+		sort.Strings(model)
+		var ref []string
+		for _, k := range model {
+			if k >= string(start) && (end == nil || k < string(end)) {
+				ref = append(ref, k)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(limit)))
+		checkCountRounds(t, rng, tree, model, ref, start, end, 1+int(limit)%64)
+	})
+}
+
+// FuzzCountStream feeds arbitrary bytes to the one-pass embedded counter as
+// a node stream. It must end or panic — never hang or recurse without bound
+// — and when it ends without meeting an HP child it agrees with the frame
+// walk of Next over the same bytes, wherever that walk ends too.
+func FuzzCountStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x0b, 'a', 1, 2, 3, 4, 5, 6, 7, 8, 0x0f, 'b', 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(bytes.Repeat([]byte{0x85, 'a', 0xff}, 200)) // nesting beyond the cap
+	f.Add([]byte{0x02, 'a', 0x86, 'b', 5, 0x02, 'c', 0x06, 'd', 0xc6, 'e', 0x02, 'x', 'y'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var n int
+		var ok bool
+		if panicked(func() { n, ok = countStream(data, 0, len(data), 0) }) || !ok {
+			return
+		}
+		c := NewCursor(New(DefaultConfig()))
+		c.pushFrame(data, region{0, len(data)}, 0, false)
+		want := 0
+		if panicked(func() {
+			for {
+				if _, _, _, more := c.Next(); !more {
+					return
+				}
+				want++
+			}
+		}) {
+			return
+		}
+		if n != want {
+			t.Fatalf("countStream = %d, Next walks %d keys", n, want)
+		}
+	})
+}
+
+// panicked runs f and reports whether it panicked.
+func panicked(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// TestCountStreamNestingBound pins the torn-read guard of the one-pass
+// count: embedded containers nested beyond countMaxNesting panic with the
+// bound's message instead of recursing on.
+func TestCountStreamNestingBound(t *testing.T) {
+	// An inner S-Node (explicit key) whose embedded child starts with the
+	// next such S-Node, 200 deep.
+	data := bytes.Repeat([]byte{0x85, 'a', 0xff}, 200)
+	defer func() {
+		if r := recover(); r != "core: embedded nesting bound exceeded (torn optimistic read)" {
+			t.Fatalf("recovered %v, want the nesting bound panic", r)
+		}
+	}()
+	countStream(data, 0, len(data), 0)
+	t.Fatal("countStream returned on a 200-deep nesting")
 }
